@@ -33,10 +33,10 @@ def _cells():
 def test_tiled_peak_below_monolithic(benchmark):
     mono, tiled, tiled4 = benchmark.pedantic(_cells, rounds=1, iterations=1)
 
-    table = [[c.mode, str(c.n_tiles), str(c.n_workers),
-              f"{c.peak_resident_bytes / 2**20:.2f} MiB",
-              f"{c.resident_fraction:.0%}",
-              f"{c.simulated_seconds * 1e3:.2f}ms"]
+    table = [[c["mode"], str(c["n_tiles"]), str(c["n_workers"]),
+              f"{c['peak_resident_bytes'] / 2**20:.2f} MiB",
+              f"{c['resident_fraction']:.0%}",
+              f"{c['simulated_seconds'] * 1e3:.2f}ms"]
              for c in (mono, tiled, tiled4)]
     report = render_table(
         ["mode", "tiles", "workers", "peak resident", "vs full block",
@@ -46,15 +46,15 @@ def test_tiled_peak_below_monolithic(benchmark):
 
     # The acceptance criterion: a 4-tile budget keeps the k-NN query's peak
     # simulated footprint strictly below the monolithic full-block bytes.
-    assert tiled.n_tiles >= 4
-    assert tiled.peak_resident_bytes < tiled.monolithic_bytes
-    assert tiled.peak_resident_bytes < mono.peak_resident_bytes
+    assert tiled["n_tiles"] >= 4
+    assert tiled["peak_resident_bytes"] < tiled["monolithic_bytes"]
+    assert tiled["peak_resident_bytes"] < mono["peak_resident_bytes"]
     # The monolithic run holds the whole dense block (plus workspace).
     n = bench_dataset(DATASET).matrix.n_rows
-    assert mono.peak_resident_bytes >= float(n) * n * OUTPUT_ITEM_BYTES
+    assert mono["peak_resident_bytes"] >= float(n) * n * OUTPUT_ITEM_BYTES
     # 4 workers change the modeled makespan, never the memory ceiling model
     # inputs (same grid, same budget).
-    assert tiled4.n_tiles == tiled.n_tiles
+    assert tiled4["n_tiles"] == tiled["n_tiles"]
 
 
 def test_tiling_preserves_results():

@@ -24,7 +24,7 @@ def _speedups(metrics):
             gpu = run_knn_cell(ds, metric, "hybrid_coo", row_cache="hash")
             cpu = run_cpu_cell(ds, metric)
             rows.append((metric, ds,
-                         cpu.simulated_seconds / gpu.simulated_seconds))
+                         cpu["simulated_seconds"] / gpu["simulated_seconds"]))
     return rows
 
 

@@ -10,22 +10,16 @@ from repro.bench.runner import (
     BENCH_SCALES,
     KNN_K,
     MINKOWSKI_P,
-    BenchCell,
-    PlanCell,
-    ServeCell,
     bench_dataset,
     run_baseline_cell,
+    run_cpu_cell,
     run_knn_cell,
     run_plan_cell,
     run_serve_cell,
 )
-from repro.bench.runner import run_cpu_cell
 from repro.bench.tables import bold_min, format_seconds, render_kv, render_table
 
 __all__ = [
-    "BenchCell",
-    "PlanCell",
-    "ServeCell",
     "bench_dataset",
     "run_knn_cell",
     "run_baseline_cell",

@@ -5,19 +5,28 @@
     python -m repro.bench --list
     python -m repro.bench compare              # gate results vs baselines
 
-Each report is printed and saved under ``benchmarks/results/``; the
-``compare`` subcommand (see :mod:`repro.bench.compare`) diffs the
-machine-readable ``BENCH_*.json`` payloads against the committed
-``benchmarks/baselines/`` and exits nonzero on regression.
+Every report is one :class:`Report` entry in :data:`REPORTS`: parameter
+grids, the cell function each grid point runs (a ``run_*_cell`` returning a
+flat dict), the table columns rendered from those dicts, where the dicts go
+in the ``BENCH_*.json`` payload, and the acceptance checks the cells must
+pass. :func:`run_report` is the one loop behind all of them: it prints and
+saves ``cli_<name>.txt`` under ``benchmarks/results/``, writes the payload,
+and returns the failed checks, which make the CLI exit 1. The ``compare``
+subcommand (see :mod:`repro.bench.compare`) diffs the payloads against the
+committed ``benchmarks/baselines/`` and exits nonzero on regression.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
+import json
+import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Union
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.reporting import results_dir, save_json, save_report
 from repro.bench.runner import (
@@ -30,6 +39,7 @@ from repro.bench.runner import (
     run_knn_cell,
     run_mutate_cell,
     run_plan_cell,
+    run_profile_cell,
     run_scale_cell,
     run_serve_cell,
     run_slo_cell,
@@ -37,360 +47,248 @@ from repro.bench.runner import (
 )
 from repro.bench.tables import bold_min, format_seconds, render_table
 from repro.core.distances import DOT_PRODUCT_DISTANCES, NAMM_DISTANCES
+from repro.obs import write_folded
 
 DATASETS = ("movielens", "scrna", "nytimes", "sec_edgar")
 
+def _yes(ok) -> str:
+    return "yes" if ok else "NO"
 
-@dataclass
+
+def grid(**axes) -> List[dict]:
+    """Every combination of the axes' values, the last axis varying
+    fastest."""
+    return [dict(zip(axes, values))
+            for values in itertools.product(*axes.values())]
+
+
+@dataclass(frozen=True)
+class Section:
+    """One table of a report: ``cell(**params)`` for every grid point.
+
+    Where a field takes a *source*, that is a cell key or a function of
+    the cell.
+    """
+
+    cell: Callable[..., dict]
+    #: keyword arguments per cell, or a function returning them at run
+    #: time (default: one cell, no arguments)
+    grid: object = ({},)
+    title: str = ""
+    #: ``(header, source)`` or ``(header, source, format)``; the format is
+    #: a ``str.format`` pattern or a value -> text function (default str)
+    columns: Sequence[tuple] = ()
+    #: payload key of the per-cell records; ``None`` puts the section's one
+    #: cell at the payload's top level
+    key: Optional[str] = "cells"
+    #: index the records by this cell key instead of listing them
+    key_by: Optional[str] = None
+    #: source of one cell's table rows (default: the cell is its one row)
+    rows: object = None
+    #: text appended under the table, from the section's cells
+    footer: Optional[Callable[[List[dict]], str]] = None
+    #: replaces the table: the section's text from its cells
+    render: Optional[Callable[[List[dict]], str]] = None
+    #: acceptance checks every cell must pass: ``(name, source)``
+    checks: Sequence[tuple] = ()
+
+
+@dataclass(frozen=True)
 class Report:
-    """A report function's product: the rendered table plus an optional
-    machine-readable payload written as ``<json_name>.json``."""
+    """One ``python -m repro.bench`` report: sections rendered in order
+    (blank-line separated) into ``cli_<name>.txt``, and, with ``bench``,
+    one ``<bench>.json`` payload."""
 
-    content: str
-    json_name: Optional[str] = None
-    json_payload: Optional[dict] = None
-
-
-#: Registry of report name → producer; ``main`` dispatches every report
-#: through this one table (print + save + optional JSON), so adding a
-#: report is a ``@report("name")`` decorator, not another dispatch block.
-REPORTS: Dict[str, Callable[[], Union[str, Report]]] = {}
-
-
-def report(name: str):
-    def register(fn: Callable[[], Union[str, Report]]):
-        REPORTS[name] = fn
-        return fn
-    return register
+    name: str
+    sections: Sequence[Section]
+    bench: Optional[str] = None
+    #: keys lifted from the first cell to the payload's top level (and
+    #: dropped from every per-cell record)
+    top: Tuple[str, ...] = ()
+    #: further top-level payload keys, from the first section's cells
+    extra: Optional[Callable[[List[dict]], dict]] = None
+    #: writes the report's side artifacts from the first section's cells
+    artifacts: Optional[Callable[[List[dict]], None]] = None
 
 
-@report("table2")
-def report_table2() -> str:
+def _get(cell: dict, source):
+    return source(cell) if callable(source) else cell[source]
+
+
+def _format(cell: dict, column: tuple) -> str:
+    header, source, *fmt = column
+    value = _get(cell, source)
+    if not fmt:
+        return str(value)
+    return fmt[0](value) if callable(fmt[0]) else fmt[0].format(value)
+
+
+def _render(section: Section, cells: List[dict]) -> str:
+    if section.render is not None:
+        return section.render(cells)
+    rows = [row for cell in cells
+            for row in (_get(cell, section.rows) if section.rows
+                        else [cell])]
+    text = render_table([c[0] for c in section.columns],
+                        [[_format(r, c) for c in section.columns]
+                         for r in rows], title=section.title)
+    return text + (section.footer(cells) if section.footer else "")
+
+
+def _payload(report: Report, runs: List[List[dict]]) -> dict:
+    """The ``BENCH_*.json`` payload; ``_``-prefixed keys never enter."""
+    def record(cell, drop=report.top):
+        return {k: v for k, v in cell.items()
+                if not k.startswith("_") and k not in drop}
+
+    payload = {key: runs[0][0][key] for key in report.top}
+    for section, cells in zip(report.sections, runs):
+        if section.key is None:
+            payload.update(record(cells[0]))
+        elif section.key_by is not None:
+            drop = report.top + (section.key_by,)
+            payload[section.key] = {c[section.key_by]: record(c, drop)
+                                    for c in cells}
+        else:
+            payload[section.key] = [record(c) for c in cells]
+    if report.extra is not None:
+        payload.update(report.extra(runs[0]))
+    return payload
+
+
+def _label(params: dict) -> str:
+    return " ".join(f"{k}={v}" for k, v in params.items()) or "the cell"
+
+
+def run_report(report: Report) -> List[str]:
+    """Run every section's grid, print and save the report text and its
+    payload, and return one line per failed check and cell."""
+    start = time.perf_counter()
+    runs, failures = [], []
+    for section in report.sections:
+        cells = []
+        for params in (section.grid() if callable(section.grid)
+                       else section.grid):
+            cells.append(section.cell(**params))
+            failures += [f"{report.name}: check '{name}' failed for "
+                         f"{_label(params)}"
+                         for name, source in section.checks
+                         if not _get(cells[-1], source)]
+            print(f"  ... {report.name} {_label(params)} done",
+                  file=sys.stderr)
+        runs.append(cells)
+    if report.artifacts is not None:
+        report.artifacts(runs[0])
+    content = "\n\n".join(_render(section, cells)
+                           for section, cells in zip(report.sections, runs))
+    elapsed = time.perf_counter() - start
+
+    path = save_report(f"cli_{report.name}", content)
+    print(content)
+    print(f"[{report.name}: {elapsed:.1f}s, saved to {path}]")
+    if report.bench is not None:
+        json_path = save_json(report.bench, _payload(report, runs))
+        print(f"[{report.name}: JSON saved to {json_path}]")
+    print()
+    return failures
+
+
+# ---------------------------------------------------------------------------
+# The registry
+
+FAMILIES = {"dot": DOT_PRODUCT_DISTANCES, "non-trivial": NAMM_DISTANCES}
+PAPER_SPEEDUP = {"dot": "28.78x", "non-trivial": "29.17x"}
+FIG1_QUANTILES = (0.25, 0.5, 0.75, 0.9, 0.95, 0.99)
+
+
+def _dataset_cell(dataset: str) -> dict:
+    """Shape, density and degree quantiles of a bench replica next to the
+    paper's Table 2 facts."""
+    from repro.datasets.degree import degree_percentile
     from repro.datasets.synthetic import DATASET_PAPER_FACTS
 
-    rows = []
-    for name in DATASETS:
-        ds = bench_dataset(name)
-        paper = DATASET_PAPER_FACTS[name]
-        rows.append([name, f"{ds.shape[0]}x{ds.shape[1]}",
-                     f"{ds.density:.4%}", str(ds.matrix.min_degree()),
-                     str(ds.matrix.max_degree()),
-                     f"{paper.shape[0] // 1000}Kx{paper.shape[1] // 1000}K",
-                     f"{paper.density:.4%}"])
-    return render_table(["dataset", "size", "density", "min", "max",
-                         "paper size", "paper density"], rows,
-                        title="Table 2 — datasets")
+    ds = bench_dataset(dataset)
+    paper = DATASET_PAPER_FACTS[dataset]
+    return {"dataset": dataset, "shape": ds.shape, "density": ds.density,
+            "min_degree": ds.matrix.min_degree(),
+            "max_degree": ds.matrix.max_degree(),
+            "paper_shape": paper.shape, "paper_density": paper.density,
+            **{f"p{int(q * 100)}": degree_percentile(ds.matrix, q)
+               for q in FIG1_QUANTILES}}
 
 
-@report("fig1")
-def report_fig1() -> str:
-    from repro.datasets.degree import degree_percentile
-
-    qs = (0.25, 0.5, 0.75, 0.9, 0.95, 0.99)
-    rows = [[name] + [f"{degree_percentile(bench_dataset(name).matrix, q):.0f}"
-                      for q in qs] for name in DATASETS]
-    return render_table(["dataset"] + [f"p{int(q * 100)}" for q in qs], rows,
-                        title="Figure 1 — degree quantiles")
-
-
-@report("table3")
-def report_table3() -> str:
-    headers = ["group", "distance"]
+def _table3_cell(group: str, metric: str) -> dict:
+    cell = {"group": group, "metric": metric}
     for ds in DATASETS:
-        headers += [f"{ds} base", f"{ds} RAFT"]
-    rows = []
-    for group, metrics in (("dot", DOT_PRODUCT_DISTANCES),
-                           ("non-trivial", NAMM_DISTANCES)):
-        for metric in metrics:
-            row = [group, metric]
-            for ds in DATASETS:
-                base = run_baseline_cell(ds, metric)
-                ours = run_knn_cell(ds, metric, "hybrid_coo",
-                                    row_cache="hash")
-                pair = [base.simulated_seconds, ours.simulated_seconds]
-                row += bold_min(pair, [format_seconds(v) for v in pair])
-            rows.append(row)
-            print(f"  ... {metric} done", file=sys.stderr)
-    return render_table(headers, rows,
-                        title="Table 3 — end-to-end kNN (simulated V100)")
+        cell[f"{ds} base"] = run_baseline_cell(ds, metric)[
+            "simulated_seconds"]
+        cell[f"{ds} RAFT"] = run_knn_cell(
+            ds, metric, "hybrid_coo", row_cache="hash")["simulated_seconds"]
+    return cell
 
 
-@report("speedup")
-def report_speedup() -> str:
-    rows = []
-    for group, metrics in (("dot", DOT_PRODUCT_DISTANCES),
-                           ("non-trivial", NAMM_DISTANCES)):
-        speeds = []
-        for metric in metrics:
-            for ds in DATASETS:
-                gpu = run_knn_cell(ds, metric, "hybrid_coo",
-                                   row_cache="hash")
-                cpu = run_cpu_cell(ds, metric)
-                speeds.append(cpu.simulated_seconds / gpu.simulated_seconds)
-        rows.append([group, f"{sum(speeds) / len(speeds):.2f}x",
-                     "28.78x" if group == "dot" else "29.17x"])
-    return render_table(["family", "measured avg speedup", "paper"],
-                        rows, title="§4.2 — GPU speedup vs CPU")
+def _winner(ds: str, side: int):
+    """Table 3 column: one side of a (baseline, ours) pair, the faster
+    starred."""
+    def fmt(cell: dict) -> str:
+        pair = [cell[f"{ds} base"], cell[f"{ds} RAFT"]]
+        return bold_min(pair, [format_seconds(v) for v in pair])[side]
+    return fmt
 
 
-@report("plan")
-def report_plan() -> str:
-    """Tiled vs monolithic execution plans: memory and modeled time."""
-    def fmt_bytes(b: float) -> str:
-        return (f"{b / 2**20:.1f} MiB" if b >= 2**20
-                else f"{b / 2**10:.1f} KiB")
-
-    rows = []
-    for ds in DATASETS:
-        for metric in ("cosine", "manhattan"):
-            cells = [run_plan_cell(ds, metric),
-                     run_plan_cell(ds, metric, n_tiles_target=4),
-                     run_plan_cell(ds, metric, n_tiles_target=4,
-                                   n_workers=4)]
-            for cell in cells:
-                rows.append([ds, metric, cell.mode, str(cell.n_tiles),
-                             str(cell.n_workers),
-                             fmt_bytes(cell.peak_resident_bytes),
-                             f"{cell.resident_fraction:.0%}",
-                             format_seconds(cell.simulated_seconds)])
-        print(f"  ... {ds} done", file=sys.stderr)
-    return render_table(
-        ["dataset", "metric", "mode", "tiles", "workers", "peak resident",
-         "vs full block", "sim seconds"], rows,
-        title="Execution plans — tiled vs monolithic (simulated V100)")
+def _speedup_cell(group: str) -> dict:
+    speeds = [run_cpu_cell(ds, metric)["simulated_seconds"]
+              / run_knn_cell(ds, metric, "hybrid_coo",
+                             row_cache="hash")["simulated_seconds"]
+              for metric in FAMILIES[group] for ds in DATASETS]
+    return {"group": group, "speedup": sum(speeds) / len(speeds),
+            "paper": PAPER_SPEEDUP[group]}
 
 
-@report("faults")
-def report_faults() -> str:
-    """Chaos matrix: faulty executions must reproduce clean runs bit-for-bit.
+def _bytes(b: float) -> str:
+    return f"{b / 2**20:.1f} MiB" if b >= 2**20 else f"{b / 2**10:.1f} KiB"
 
-    Every cell runs one k-NN query twice — clean, then under the seeded
-    chaos schedule with recovery engaged — and checks the recovered
-    distances and indices against the clean twin. The seed sweep is the
-    same one CI's fault-matrix job runs (FAULT_SEED).
-    """
-    import os
 
+def _fault_grid() -> List[dict]:
+    """The chaos matrix; ``FAULT_SEED`` pins one seed (CI's sweep)."""
     seeds = ([int(os.environ["FAULT_SEED"])] if "FAULT_SEED" in os.environ
              else [0, 1, 2])
-    rows = []
-    for metric in ("cosine", "jaccard"):
-        for seed in seeds:
-            for n_workers in (1, 4):
-                cell = run_fault_cell("movielens", metric, seed=seed,
-                                      n_workers=n_workers)
-                rows.append([
-                    "movielens", metric, str(seed), str(n_workers),
-                    str(cell.n_tiles), str(cell.n_faults),
-                    str(cell.n_retries), str(cell.n_tile_splits),
-                    str(cell.n_degraded),
-                    format_seconds(cell.faulty_seconds),
-                    "BIT-IDENTICAL" if cell.identical else "DIVERGED",
-                ])
-        print(f"  ... {metric} done", file=sys.stderr)
-    return render_table(
-        ["dataset", "metric", "seed", "workers", "tiles", "faults",
-         "retries", "splits", "degraded", "sim seconds", "vs clean"], rows,
-        title="Fault matrix — recovered runs vs clean runs")
+    return grid(dataset=("movielens",), metric=("cosine", "jaccard"),
+                seed=seeds, n_workers=(1, 4))
 
 
-def _burst_cell_payload(c) -> dict:
-    """The machine-readable slice of one :class:`BurstCell` shared by
-    ``BENCH_serve.json`` and ``BENCH_slo.json``."""
-    return {
-        "backpressure": c.backpressure,
-        "seed": c.seed,
-        "n_submissions": c.n_submissions,
-        "resolved": c.resolved,
-        "shed": c.shed,
-        "rejected": c.rejected,
-        "degraded": c.degraded,
-        "deadline_missed": c.deadline_missed,
-        "reconciled": c.reconciled,
-        "p50_latency_ms": c.p50_latency_ms,
-        "p99_latency_ms": c.p99_latency_ms,
-        "p0_p99_latency_ms": c.p0_p99_latency_ms,
-        "p0_threshold_ms": c.p0_threshold_ms,
-        "p0_ok": c.p0_ok,
-        "p0_alerts": c.p0_alerts,
-        "driver_alerts": c.driver_alerts,
-        "peak_shed_level": c.peak_shed_level,
-        "refusals_by_reason": dict(sorted(c.refusals_by_reason.items())),
-    }
+#: The burst trace with the shed ladder off, then on: both ledgers must
+#: reconcile, and the shedding arm must hold the priority-0 SLO with no
+#: burn alert. The open-loop arm missing p0 is the expected contrast.
+BURST_GRID = grid(backpressure=(False, True))
+BURST_CHECKS: Sequence[tuple] = (
+    ("reconciled", "reconciled"),
+    ("shedding holds p0 (p0_ok, 0 p0 alerts)",
+     lambda c: not c["backpressure"]
+     or (c["p0_ok"] and c["p0_alerts"] == 0)),
+)
 
 
-@report("serve")
-def report_serve() -> Report:
-    """Serving-layer profile: throughput/latency vs batch size and shards.
-
-    Drives an open-loop simulated request stream through
-    :class:`~repro.serve.Server` for each (micro-batch size, shard count)
-    cell, then the heavy-tailed burst trace with and without the
-    SLO-driven shed ladder; alongside the tables, everything is written
-    to ``BENCH_serve.json`` (the CI serving-smoke artifact).
-    """
-    cells = []
-    rows = []
-    for max_batch_rows in (8, 32, 128):
-        for n_shards in (1, 2, 4):
-            cell = run_serve_cell(
-                "movielens", "cosine", n_shards=n_shards,
-                max_batch_rows=max_batch_rows, n_workers=2)
-            cells.append(cell)
-            rows.append([
-                str(max_batch_rows), str(n_shards), str(cell.n_batches),
-                f"{cell.mean_batch_rows:.1f}",
-                f"{cell.throughput_rows_per_s:,.0f}",
-                f"{cell.p50_latency_ms:.3f}", f"{cell.p99_latency_ms:.3f}",
-            ])
-        print(f"  ... batch={max_batch_rows} done", file=sys.stderr)
-    content = render_table(
-        ["batch rows", "shards", "batches", "rows/batch",
-         "rows/s (sim)", "p50 ms", "p99 ms"], rows,
-        title="Serving — movielens/cosine, open-loop stream "
-              "(simulated time)")
-
-    burst_cells = [run_burst_cell(backpressure=bp) for bp in (False, True)]
-    burst_rows = [[
-        "on" if c.backpressure else "off", str(c.n_submissions),
-        str(c.resolved), str(c.shed), str(c.rejected),
-        str(c.deadline_missed), f"{c.p0_p99_latency_ms:.4f}",
-        f"{c.p0_threshold_ms:.4f}", "yes" if c.p0_ok else "NO",
-        str(c.p0_alerts), str(c.peak_shed_level),
-        "yes" if c.reconciled else "NO",
-    ] for c in burst_cells]
-    content += "\n\n" + render_table(
-        ["shedding", "submitted", "resolved", "shed", "rejected",
-         "missed", "p0 p99 ms", "p0 SLO ms", "p0 ok", "p0 alerts",
-         "peak rung", "reconciled"], burst_rows,
-        title="Serving under load — heavy-tailed burst trace, shed "
-              "ladder off vs on (simulated time)")
-    print("  ... burst trace done", file=sys.stderr)
-    payload = {
-        "dataset": "movielens",
-        "metric": "cosine",
-        "cells": [{
-            "max_batch_rows": c.max_batch_rows,
-            "n_shards": c.n_shards,
-            "placement": c.placement,
-            "n_workers": c.n_workers,
-            "n_requests": c.n_requests,
-            "total_rows": c.total_rows,
-            "n_batches": c.n_batches,
-            "mean_batch_rows": c.mean_batch_rows,
-            "throughput_rows_per_s": c.throughput_rows_per_s,
-            "p50_latency_ms": c.p50_latency_ms,
-            "p99_latency_ms": c.p99_latency_ms,
-            "deadline_missed": c.deadline_missed,
-            "partial_results": c.partial_results,
-            "latency_samples_ms": list(c.latency_samples_ms),
-            "wall_seconds": c.wall_seconds,
-        } for c in cells],
-        "burst": [_burst_cell_payload(c) for c in burst_cells],
-    }
-    return Report(content, json_name="BENCH_serve", json_payload=payload)
+def _folded(cell: dict) -> str:
+    return f"profile_{cell['row_cache']}.folded"
 
 
-@report("profile")
-def report_profile() -> Report:
-    """Performance profile of a traced k-NN query per row-cache strategy.
-
-    Each strategy runs one end-to-end movielens/cosine query under a
-    :class:`~repro.obs.Tracer`; the resulting :class:`~repro.obs.Profile`
-    yields the critical path, the per-category time split, a roofline
-    bound-ness table, and a folded-stack flamegraph
-    (``profile_<strategy>.folded`` under the results directory — drag into
-    speedscope or feed to ``flamegraph.pl``). The summary is written to
-    ``BENCH_profile.json`` for the baseline gate.
-    """
-    from repro.gpusim.specs import VOLTA_V100
-    from repro.kernels import make_engine
-    from repro.neighbors.brute_force import NearestNeighbors
-    from repro.obs import Profile, Tracer, write_folded
-    from repro.plan.tiling import OUTPUT_ITEM_BYTES, WORKSPACE_ITEM_BYTES
-
-    ds = bench_dataset("movielens")
-    n_rows = ds.matrix.n_rows
-    monolithic = (float(n_rows) * n_rows * OUTPUT_ITEM_BYTES
-                  + float(ds.matrix.nnz) * WORKSPACE_ITEM_BYTES)
-    budget = max(1, int(monolithic // 8))
-
-    sections = []
-    payload = {"dataset": "movielens", "metric": "cosine",
-               "strategies": {}}
-    for row_cache in ("hash", "bloom"):
-        tracer = Tracer()
-        kernel = make_engine("hybrid_coo", VOLTA_V100, row_cache=row_cache)
-        nn = NearestNeighbors(
-            n_neighbors=10, metric="cosine", engine=kernel,
-            device=VOLTA_V100, batch_rows=max(1, n_rows),
-            memory_budget_bytes=budget, trace=tracer)
-        nn.fit(ds.matrix)
-        nn.kneighbors()
-        profile = Profile(tracer)
-        folded = write_folded(
-            profile, results_dir() / f"profile_{row_cache}.folded")
-        cp = profile.critical_path(1)
-        sections.append(
-            f"== row_cache={row_cache} "
-            f"(flamegraph: {folded.name}) ==\n{profile.render()}")
-        payload["strategies"][row_cache] = profile.as_dict(n_workers=1)
-        print(f"  ... {row_cache}: {cp.sim_seconds * 1e3:.3f} ms critical "
-              f"path", file=sys.stderr)
-    return Report("\n\n".join(sections), json_name="BENCH_profile",
-                  json_payload=payload)
+def _write_folded(cells: List[dict]) -> None:
+    """Each strategy's folded-stack flamegraph next to the report (drag
+    into speedscope or feed to ``flamegraph.pl``)."""
+    for c in cells:
+        write_folded(c["_profile"], results_dir() / _folded(c))
 
 
-@report("slo")
-def report_slo() -> Report:
-    """SLO monitoring of a phased serve stream (healthy → burst → recover).
+def _shedding(on: bool) -> str:
+    return "on" if on else "off"
 
-    Drives :func:`~repro.bench.runner.run_slo_cell` and renders every
-    monitor tick's objective statuses plus the burn-rate alerts the
-    overload phase fired, then the burst-trace backpressure comparison:
-    with the shed ladder on, the priority-0 latency objective must hold
-    (no burn alerts) while the open-loop run blows it. The payload lands
-    in ``BENCH_slo.json``.
-    """
-    cell = run_slo_cell("movielens", "cosine")
-    rows = [[obj, f"{at:.1f}", f"{obs:.3f}", "yes" if ok else "NO",
-             f"{burn:.2f}", f"{budget:.1%}"]
-            for obj, at, obs, ok, burn, budget in cell.statuses]
-    content = render_table(
-        ["objective", "tick ms", "observed", "ok", "burn", "budget left"],
-        rows, title="SLO monitor — movielens/cosine, phased stream "
-                    "(simulated time)")
-    content += (f"\n\n{len(cell.alerts)} burn-rate alert(s); "
-                f"{cell.deadline_missed}/{cell.n_requests} deadlines "
-                f"missed; p99 {cell.p99_latency_ms:.3f} ms\n\n"
-                + cell.report_text)
 
-    burst_cells = [run_burst_cell(backpressure=bp) for bp in (False, True)]
-    content += "\n\n" + render_table(
-        ["shedding", "p0 p99 ms", "p0 SLO ms", "p0 ok", "p0 alerts",
-         "driver alerts", "shed", "missed"],
-        [["on" if c.backpressure else "off",
-          f"{c.p0_p99_latency_ms:.4f}", f"{c.p0_threshold_ms:.4f}",
-          "yes" if c.p0_ok else "NO", str(c.p0_alerts),
-          str(c.driver_alerts), str(c.shed), str(c.deadline_missed)]
-         for c in burst_cells],
-        title="Priority-0 SLO under burst load — shed ladder off vs on")
-    payload = {
-        "dataset": cell.dataset,
-        "metric": cell.metric,
-        "n_requests": cell.n_requests,
-        "deadline_missed": cell.deadline_missed,
-        "p50_latency_ms": cell.p50_latency_ms,
-        "p99_latency_ms": cell.p99_latency_ms,
-        "statuses": [{
-            "objective": obj, "at_ms": at, "observed": obs, "ok": ok,
-            "burn_rate": burn, "budget_remaining": budget,
-        } for obj, at, obs, ok, burn, budget in cell.statuses],
-        "alerts": [{"objective": obj, "at_ms": at, "burn_rate": burn}
-                   for obj, at, burn in cell.alerts],
-        "burst": [_burst_cell_payload(c) for c in burst_cells],
-    }
-    return Report(content, json_name="BENCH_slo", json_payload=payload)
+def _slo_footer(cells: List[dict]) -> str:
+    c = cells[0]
+    return (f"\n\n{len(c['alerts'])} burn-rate alert(s); "
+            f"{c['deadline_missed']}/{c['n_requests']} deadlines missed; "
+            f"p99 {c['p99_latency_ms']:.3f} ms\n\n" + c["_report_text"])
 
 
 #: (regime, n_cols, mean_degree) — the two column regimes the ablation
@@ -405,215 +303,49 @@ ABLATION_SIGMAS = (0.5, 1.5, 2.5, 3.5)
 ABLATION_METRICS = ("cosine", "manhattan")
 
 
-@report("ablation")
-def report_ablation() -> Report:
-    """Engine ablation over skewed degree distributions.
-
-    Sweeps lognormal degree skew (``sigma``) × column regime × metric on a
-    96-row self-join, running every fixed engine configuration the device
-    can express (hybrid CSR+COO with dense/hash row caches, merge-path)
-    plus ``engine="auto"``. The claim locked into ``BENCH_ablation.json``:
-    on every cell ``auto`` matches or beats the best fixed configuration,
-    and all configurations produce bit-identical distances.
-    """
-    cells = []
-    rows = []
-    for regime, n_cols, mean_degree in ABLATION_REGIMES:
-        for metric in ABLATION_METRICS:
-            for sigma in ABLATION_SIGMAS:
-                cell = run_ablation_cell(
-                    metric, sigma=sigma, regime=regime, n_cols=n_cols,
-                    mean_degree=mean_degree)
-                cells.append(cell)
-                auto_label = cell.auto_engine + (
-                    f"/{cell.auto_row_cache}" if cell.auto_row_cache else "")
-                rows.append([
-                    regime, metric, f"{sigma:.1f}", f"{cell.degree_cv:.2f}",
-                    *[format_seconds(cell.fixed_seconds[label])
-                      if label in cell.fixed_seconds else "-"
-                      for label in ("hybrid/dense", "hybrid/hash",
-                                    "merge_path")],
-                    auto_label, format_seconds(cell.auto_seconds),
-                    "yes" if cell.auto_matches_best else "NO",
-                    "yes" if cell.identical else "DIVERGED",
-                ])
-            print(f"  ... {regime}/{metric} done", file=sys.stderr)
-    content = render_table(
-        ["regime", "metric", "sigma", "deg cv", "hybrid/dense",
-         "hybrid/hash", "merge_path", "auto choice", "auto", "auto=best",
-         "identical"], rows,
-        title="Engine ablation — skewed self-joins, fixed configs vs auto "
-              "(simulated V100)")
-    payload = {
-        "n_rows": 96,
-        "regimes": [{"regime": r, "n_cols": c, "mean_degree": d}
-                    for r, c, d in ABLATION_REGIMES],
-        "cells": [{
-            "regime": c.regime,
-            "metric": c.metric,
-            "sigma": c.sigma,
-            "n_rows": c.n_rows,
-            "n_cols": c.n_cols,
-            "nnz": c.nnz,
-            "degree_cv": c.degree_cv,
-            "fixed_seconds": dict(sorted(c.fixed_seconds.items())),
-            "auto_engine": c.auto_engine,
-            "auto_row_cache": c.auto_row_cache,
-            "auto_seconds": c.auto_seconds,
-            "best_fixed_label": c.best_fixed_label,
-            "best_fixed_seconds": c.best_fixed_seconds,
-            "auto_matches_best": c.auto_matches_best,
-            "auto_minus_best_seconds": c.auto_minus_best_seconds,
-            "identical": c.identical,
-            "wall_seconds": c.wall_seconds,
-        } for c in cells],
-    }
-    return Report(content, json_name="BENCH_ablation", json_payload=payload)
+def _fixed(label: str):
+    return lambda c: (format_seconds(c["fixed_seconds"][label])
+                      if label in c["fixed_seconds"] else "-")
 
 
-@report("mutate")
-def report_mutate() -> Report:
-    """Mutable-index lifecycle: mutations, faults, rebalance, snapshots.
-
-    Replays seeded upsert/delete/compact schedules through
-    :class:`~repro.serve.MutableIndex` with a fresh-fit differential check
-    after every operation, then forces a mid-compaction fault (watermark
-    resume), a degree-drift rebalance, and a snapshot round-trip. The
-    contract locked into ``BENCH_mutate.json``: every check is
-    bit-identical and every simulated count/second is deterministic.
-    """
-    cells = []
-    rows = []
-    for seed in (0, 1, 2):
-        cell = run_mutate_cell(seed)
-        cells.append(cell)
-        rows.append([
-            str(cell.seed), str(cell.n_ops),
-            f"{cell.n_upserts}/{cell.n_deletes}",
-            str(cell.n_compactions), str(cell.generation_final),
-            str(cell.live_rows_final),
-            f"{cell.compaction_sim_seconds:.4f}",
-            f"{cell.imbalance_before_rebalance:.2f}"
-            f"->{cell.imbalance_after_rebalance:.2f}",
-            "yes" if cell.identity_ok else "NO",
-            "yes" if cell.resume_ok else "NO",
-            "yes" if cell.snapshot_roundtrip_ok else "NO",
-        ])
-        print(f"  ... seed={seed} done", file=sys.stderr)
-    content = render_table(
-        ["seed", "ops", "ups/dels", "compactions", "gen", "live rows",
-         "compact sim s", "imbalance", "bit-identical", "fault resume",
-         "snapshot"], rows,
-        title="Mutable index — seeded lifecycle replays vs fresh-fit "
-              "oracle (simulated time)")
-    payload = {
-        "metric": cells[0].metric,
-        "n_shards": cells[0].n_shards,
-        "cells": [{
-            "seed": c.seed,
-            "n_ops": c.n_ops,
-            "n_upserts": c.n_upserts,
-            "n_deletes": c.n_deletes,
-            "n_compactions": c.n_compactions,
-            "live_rows_final": c.live_rows_final,
-            "generation_final": c.generation_final,
-            "identity_ok": c.identity_ok,
-            "resume_ok": c.resume_ok,
-            "snapshot_roundtrip_ok": c.snapshot_roundtrip_ok,
-            "compaction_retries": c.compaction_retries,
-            "compaction_resumes": c.compaction_resumes,
-            "fault_aborts": c.fault_aborts,
-            "compaction_sim_seconds": c.compaction_sim_seconds,
-            "imbalance_before_rebalance": c.imbalance_before_rebalance,
-            "imbalance_after_rebalance": c.imbalance_after_rebalance,
-            "query_checks": c.query_checks,
-            "wall_seconds": c.wall_seconds,
-        } for c in cells],
-    }
-    return Report(content, json_name="BENCH_mutate", json_payload=payload)
+#: Each telemetry invariant is both a row of the report's table and an
+#: acceptance check.
+TELEMETRY_CHECKS: Sequence[tuple] = (
+    ("schema valid", "schema_valid"),
+    ("events reconciled", "reconciled"),
+    ("tail covers deadline misses", "tail_covers_deadline_missed"),
+    ("exemplar chains exact", "exemplar_chain_exact"),
+    ("exemplar buckets complete",
+     lambda c: c["exemplar_buckets"] == c["exemplar_buckets_expected"]),
+    ("events identical serial vs 4 workers", "events_identical"),
+    ("sampling decisions byte-identical", "decisions_identical"),
+    ("dist transfers reconciled", "dist_transfers_reconciled"),
+)
 
 
-@report("telemetry")
-def report_telemetry() -> Report:
-    """End-to-end request telemetry under burst load (DESIGN.md §16).
+def _telemetry_footer(cells: List[dict]) -> str:
+    c = cells[0]
+    return (f"\n\n{c['n_submissions']} submitted -> {c['resolved']} "
+            f"resolved / {c['refused']} refused; {c['deadline_missed']} "
+            f"deadline misses, all in the {c['sampled_total']}-trace tail "
+            f"sample (of {c['n_traces']}); p99 threshold "
+            f"{c['p99_threshold_ms']:.4f} ms\n\n" + c["_console_text"])
 
-    Runs :func:`~repro.bench.runner.run_telemetry_cell` — the
-    heavy-tailed burst trace through a traced, telemetry-wired server —
-    and locks the acceptance bar into ``BENCH_telemetry.json``: wide
-    events validate against the schema and reconcile exactly against the
-    serve reports, every deadline-missed trace survives tail sampling,
-    every nonzero latency bucket's exemplar chain reproduces its latency
-    with ``==`` on floats, and a 4-worker rerun emits byte-identical
-    events and sampling decisions. Artifacts land next to the report:
-    the rendered fleet console (text + JSON) and the retained
-    (tail-sampled) trace events as JSONL.
-    """
-    import json
 
-    cell = run_telemetry_cell()
-    checks = [
-        ("schema valid", cell.schema_valid),
-        ("events reconciled", cell.reconciled),
-        ("tail covers deadline misses", cell.tail_covers_deadline_missed),
-        ("exemplar chains exact", cell.exemplar_chain_exact),
-        ("exemplar buckets complete",
-         cell.exemplar_buckets == cell.exemplar_buckets_expected),
-        ("events identical serial vs 4 workers", cell.events_identical),
-        ("sampling decisions byte-identical", cell.decisions_identical),
-        ("dist transfers reconciled", cell.dist_transfers_reconciled),
-    ]
-    rows = [[name, "yes" if ok else "NO"] for name, ok in checks]
-    content = render_table(
-        ["telemetry invariant", "holds"], rows,
-        title="Telemetry — burst trace, traced + sampled "
-              "(simulated time)")
-    content += (
-        f"\n\n{cell.n_submissions} submitted -> {cell.resolved} resolved "
-        f"/ {cell.refused} refused; {cell.deadline_missed} deadline "
-        f"misses, all in the {cell.sampled_total}-trace tail sample "
-        f"(of {cell.n_traces}); p99 threshold "
-        f"{cell.p99_threshold_ms:.4f} ms\n\n" + cell.console_text)
-
+def _telemetry_artifacts(cells: List[dict]) -> None:
+    """The rendered fleet console (text + JSON) and the retained
+    (tail-sampled) trace events as JSONL, next to the report."""
+    c = cells[0]
     out = results_dir()
-    (out / "telemetry_console.txt").write_text(cell.console_text + "\n")
+    (out / "telemetry_console.txt").write_text(c["_console_text"] + "\n")
     with open(out / "telemetry_console.json", "w") as fh:
-        json.dump(cell.snapshot, fh, indent=2, sort_keys=True)
+        json.dump(c["_snapshot"], fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(out / "telemetry_sampled.jsonl", "w") as fh:
-        for record in cell.sampled_records:
+        for record in c["_sampled_records"]:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    print("  ... console + sampled-trace artifacts saved to "
-          f"{out}", file=sys.stderr)
-
-    payload = {
-        "dataset": cell.dataset,
-        "metric": cell.metric,
-        "seed": cell.seed,
-        "head_rate": cell.head_rate,
-        "n_submissions": cell.n_submissions,
-        "resolved": cell.resolved,
-        "refused": cell.refused,
-        "deadline_missed": cell.deadline_missed,
-        "events_total": cell.events_total,
-        "events_total_all": cell.events_total_all,
-        "sampled_total": cell.sampled_total,
-        "dropped_total": cell.dropped_total,
-        "n_traces": cell.n_traces,
-        "p99_threshold_ms": cell.p99_threshold_ms,
-        "schema_valid": cell.schema_valid,
-        "reconciled": cell.reconciled,
-        "reconciliation": cell.reconciliation,
-        "tail_covers_deadline_missed": cell.tail_covers_deadline_missed,
-        "exemplar_buckets": cell.exemplar_buckets,
-        "exemplar_buckets_expected": cell.exemplar_buckets_expected,
-        "exemplar_chain_exact": cell.exemplar_chain_exact,
-        "events_identical": cell.events_identical,
-        "decisions_identical": cell.decisions_identical,
-        "dist_transfers_reconciled": cell.dist_transfers_reconciled,
-        "wall_seconds": cell.wall_seconds,
-    }
-    return Report(content, json_name="BENCH_telemetry",
-                  json_payload=payload)
+    print(f"  ... console + sampled-trace artifacts saved to {out}",
+          file=sys.stderr)
 
 
 #: device counts x interconnect tiers the distributed sweep covers
@@ -621,71 +353,251 @@ SCALE_DEVICES = (2, 4, 8)
 SCALE_TIERS = ("nvlink", "pcie", "network")
 
 
-@report("scale")
-def report_scale() -> Report:
-    """Distributed scaling sweep: device count x interconnect tier.
+def _scale_headline(cells: List[dict]) -> bool:
+    """At 4+ devices the 2-D grid's modeled total is strictly below both
+    1-D shapes on every tier."""
+    return all(c["two_d_beats_one_d"] for c in cells if c["n_devices"] >= 4)
 
-    Every cell plans a skewed pairwise top-k job with
-    ``partition="auto"``, records the full candidate table (modeled
-    seconds plus exact comm bytes per shape), then executes the chosen
-    plan and checks the clean-run contract — executed simulated seconds
-    equal the modeled total with ``==`` on floats. The headline locked
-    into ``BENCH_scale.json``: at 4+ devices the 2-D grid's modeled total
-    is strictly below both 1-D shapes on every tier (each operand side
-    pays (sqrt(p) - 1) transfers instead of (p - 1)).
-    """
-    cells = []
-    rows = []
-    for n_devices in SCALE_DEVICES:
-        for tier in SCALE_TIERS:
-            cell = run_scale_cell(n_devices, tier)
-            cells.append(cell)
-            rows.append([
-                str(cell.n_devices), tier,
-                f"{cell.chosen_partition} "
-                f"({cell.grid_rows}x{cell.grid_cols})",
-                format_seconds(cell.estimated_seconds),
-                format_seconds(cell.comm_seconds),
-                f"{cell.comm_bytes_total / 2**10:.1f} KiB",
-                "yes" if cell.estimate_equals_executed else "NO",
-                {True: "yes", False: "NO", None: "-"}[
-                    cell.two_d_beats_one_d],
-            ])
-        print(f"  ... p={n_devices} done", file=sys.stderr)
-    content = render_table(
-        ["devices", "interconnect", "auto choice", "modeled total",
-         "comm (serial)", "comm bytes", "est==exec", "2d<1d"], rows,
+
+REPORTS: Dict[str, Report] = {r.name: r for r in (
+    Report("table2", [Section(
+        _dataset_cell, grid(dataset=DATASETS),
+        title="Table 2 — datasets",
+        columns=[
+            ("dataset", "dataset"),
+            ("size", lambda c: f"{c['shape'][0]}x{c['shape'][1]}"),
+            ("density", "density", "{:.4%}"),
+            ("min", "min_degree"), ("max", "max_degree"),
+            ("paper size", lambda c: f"{c['paper_shape'][0] // 1000}Kx"
+                                     f"{c['paper_shape'][1] // 1000}K"),
+            ("paper density", "paper_density", "{:.4%}")])]),
+
+    Report("fig1", [Section(
+        _dataset_cell, grid(dataset=DATASETS),
+        title="Figure 1 — degree quantiles",
+        columns=[("dataset", "dataset")]
+        + [(f"p{int(q * 100)}", f"p{int(q * 100)}", "{:.0f}")
+           for q in FIG1_QUANTILES])]),
+
+    Report("table3", [Section(
+        _table3_cell,
+        [{"group": g, "metric": m} for g, ms in FAMILIES.items()
+         for m in ms],
+        title="Table 3 — end-to-end kNN (simulated V100)",
+        columns=[("group", "group"), ("distance", "metric")]
+        + [(f"{ds} {name}", _winner(ds, side)) for ds in DATASETS
+           for side, name in enumerate(("base", "RAFT"))])]),
+
+    Report("speedup", [Section(
+        _speedup_cell, grid(group=tuple(FAMILIES)),
+        title="§4.2 — GPU speedup vs CPU",
+        columns=[("family", "group"),
+                 ("measured avg speedup", "speedup", "{:.2f}x"),
+                 ("paper", "paper")])]),
+
+    # Tiled vs monolithic execution plans: memory and modeled time.
+    Report("plan", [Section(
+        run_plan_cell,
+        [{"dataset": ds, "metric": m, "n_tiles_target": t, "n_workers": w}
+         for ds in DATASETS for m in ("cosine", "manhattan")
+         for t, w in ((None, 1), (4, 1), (4, 4))],
+        title="Execution plans — tiled vs monolithic (simulated V100)",
+        columns=[("dataset", "dataset"), ("metric", "metric"),
+                 ("mode", "mode"), ("tiles", "n_tiles"),
+                 ("workers", "n_workers"),
+                 ("peak resident", "peak_resident_bytes", _bytes),
+                 ("vs full block", "resident_fraction", "{:.0%}"),
+                 ("sim seconds", "simulated_seconds", format_seconds)])]),
+
+    # Chaos matrix: every cell runs one k-NN query clean and under the
+    # seeded chaos schedule with recovery engaged; the recovered
+    # distances and indices must equal the clean twin's bit for bit.
+    Report("faults", [Section(
+        run_fault_cell, _fault_grid,
+        title="Fault matrix — recovered runs vs clean runs",
+        columns=[("dataset", "dataset"), ("metric", "metric"),
+                 ("seed", "seed"), ("workers", "n_workers"),
+                 ("tiles", "n_tiles"), ("faults", "n_faults"),
+                 ("retries", "n_retries"), ("splits", "n_tile_splits"),
+                 ("degraded", "n_degraded"),
+                 ("sim seconds", "faulty_seconds", format_seconds),
+                 ("vs clean", "identical",
+                  lambda ok: "BIT-IDENTICAL" if ok else "DIVERGED")],
+        checks=[("identical", "identical")])]),
+
+    # Serving-layer profile: an open-loop stream per (micro-batch size,
+    # shard count), then the burst trace with and without the shed
+    # ladder; BENCH_serve.json is the CI serving-smoke artifact.
+    Report("serve", [
+        Section(
+            partial(run_serve_cell, "movielens", "cosine", n_workers=2),
+            grid(max_batch_rows=(8, 32, 128), n_shards=(1, 2, 4)),
+            title="Serving — movielens/cosine, open-loop stream "
+                  "(simulated time)",
+            columns=[("batch rows", "max_batch_rows"),
+                     ("shards", "n_shards"), ("batches", "n_batches"),
+                     ("rows/batch", "mean_batch_rows", "{:.1f}"),
+                     ("rows/s (sim)", "throughput_rows_per_s", "{:,.0f}"),
+                     ("p50 ms", "p50_latency_ms", "{:.3f}"),
+                     ("p99 ms", "p99_latency_ms", "{:.3f}")]),
+        Section(
+            run_burst_cell, BURST_GRID,
+            title="Serving under load — heavy-tailed burst trace, shed "
+                  "ladder off vs on (simulated time)",
+            columns=[("shedding", "backpressure", _shedding),
+                     ("submitted", "n_submissions"),
+                     ("resolved", "resolved"), ("shed", "shed"),
+                     ("rejected", "rejected"),
+                     ("missed", "deadline_missed"),
+                     ("p0 p99 ms", "p0_p99_latency_ms", "{:.4f}"),
+                     ("p0 SLO ms", "p0_threshold_ms", "{:.4f}"),
+                     ("p0 ok", "p0_ok", _yes),
+                     ("p0 alerts", "p0_alerts"),
+                     ("peak rung", "peak_shed_level"),
+                     ("reconciled", "reconciled", _yes)],
+            key="burst", checks=BURST_CHECKS)],
+        bench="BENCH_serve", top=("dataset", "metric")),
+
+    # A traced k-NN query per row-cache strategy: critical path,
+    # per-category split, roofline table, folded-stack flamegraph.
+    Report("profile", [Section(
+        run_profile_cell, grid(row_cache=("hash", "bloom")),
+        key="strategies", key_by="row_cache",
+        render=lambda cells: "\n\n".join(
+            f"== row_cache={c['row_cache']} (flamegraph: {_folded(c)}) "
+            f"==\n{c['_text']}" for c in cells))],
+        bench="BENCH_profile", top=("dataset", "metric"),
+        artifacts=_write_folded),
+
+    # SLO monitoring of a phased serve stream (healthy -> burst ->
+    # recover): every tick's objective statuses and the burn-rate alerts,
+    # then the priority-0 SLO under the burst trace, shed ladder off vs on.
+    Report("slo", [
+        Section(
+            partial(run_slo_cell, "movielens", "cosine"),
+            title="SLO monitor — movielens/cosine, phased stream "
+                  "(simulated time)",
+            columns=[("objective", "objective"),
+                     ("tick ms", "at_ms", "{:.1f}"),
+                     ("observed", "observed", "{:.3f}"),
+                     ("ok", "ok", _yes),
+                     ("burn", "burn_rate", "{:.2f}"),
+                     ("budget left", "budget_remaining", "{:.1%}")],
+            key=None, rows="statuses", footer=_slo_footer),
+        Section(
+            run_burst_cell, BURST_GRID,
+            title="Priority-0 SLO under burst load — shed ladder off vs on",
+            columns=[("shedding", "backpressure", _shedding),
+                     ("p0 p99 ms", "p0_p99_latency_ms", "{:.4f}"),
+                     ("p0 SLO ms", "p0_threshold_ms", "{:.4f}"),
+                     ("p0 ok", "p0_ok", _yes),
+                     ("p0 alerts", "p0_alerts"),
+                     ("driver alerts", "driver_alerts"),
+                     ("shed", "shed"), ("missed", "deadline_missed")],
+            key="burst", checks=BURST_CHECKS)],
+        bench="BENCH_slo"),
+
+    # Engine ablation over skewed degree distributions: every fixed
+    # engine configuration vs engine="auto" on a 96-row self-join.
+    Report("ablation", [Section(
+        run_ablation_cell,
+        [{"regime": r, "n_cols": n, "mean_degree": d, "metric": m,
+          "sigma": s}
+         for r, n, d in ABLATION_REGIMES for m in ABLATION_METRICS
+         for s in ABLATION_SIGMAS],
+        title="Engine ablation — skewed self-joins, fixed configs vs auto "
+              "(simulated V100)",
+        columns=[("regime", "regime"), ("metric", "metric"),
+                 ("sigma", "sigma", "{:.1f}"),
+                 ("deg cv", "degree_cv", "{:.2f}"),
+                 ("hybrid/dense", _fixed("hybrid/dense")),
+                 ("hybrid/hash", _fixed("hybrid/hash")),
+                 ("merge_path", _fixed("merge_path")),
+                 ("auto choice",
+                  lambda c: c["auto_engine"] + (
+                      f"/{c['auto_row_cache']}" if c["auto_row_cache"]
+                      else "")),
+                 ("auto", "auto_seconds", format_seconds),
+                 ("auto=best", "auto_matches_best", _yes),
+                 ("identical", "identical",
+                  lambda ok: "yes" if ok else "DIVERGED")],
+        checks=[("auto_matches_best", "auto_matches_best"),
+                ("identical", "identical")])],
+        bench="BENCH_ablation",
+        extra=lambda cells: {
+            "n_rows": 96,
+            "regimes": [{"regime": r, "n_cols": n, "mean_degree": d}
+                        for r, n, d in ABLATION_REGIMES]}),
+
+    # Mutable-index lifecycle: seeded mutation schedules, a forced
+    # mid-compaction fault, a rebalance and a snapshot round-trip, each
+    # checked against a fresh fit.
+    Report("mutate", [Section(
+        run_mutate_cell, grid(seed=(0, 1, 2)),
+        title="Mutable index — seeded lifecycle replays vs fresh-fit "
+              "oracle (simulated time)",
+        columns=[("seed", "seed"), ("ops", "n_ops"),
+                 ("ups/dels", lambda c: f"{c['n_upserts']}/"
+                                        f"{c['n_deletes']}"),
+                 ("compactions", "n_compactions"),
+                 ("gen", "generation_final"),
+                 ("live rows", "live_rows_final"),
+                 ("compact sim s", "compaction_sim_seconds", "{:.4f}"),
+                 ("imbalance",
+                  lambda c: f"{c['imbalance_before_rebalance']:.2f}->"
+                            f"{c['imbalance_after_rebalance']:.2f}"),
+                 ("bit-identical", "identity_ok", _yes),
+                 ("fault resume", "resume_ok", _yes),
+                 ("snapshot", "snapshot_roundtrip_ok", _yes)],
+        checks=[("identity_ok", "identity_ok"),
+                ("resume_ok", "resume_ok"),
+                ("snapshot_roundtrip_ok", "snapshot_roundtrip_ok")])],
+        bench="BENCH_mutate", top=("metric", "n_shards")),
+
+    # End-to-end request telemetry under burst load (DESIGN.md §16).
+    Report("telemetry", [Section(
+        run_telemetry_cell,
+        title="Telemetry — burst trace, traced + sampled "
+              "(simulated time)",
+        columns=[("telemetry invariant", "invariant"),
+                 ("holds", "ok", _yes)],
+        key=None,
+        rows=lambda c: [{"invariant": name, "ok": _get(c, check)}
+                        for name, check in TELEMETRY_CHECKS],
+        footer=_telemetry_footer, checks=TELEMETRY_CHECKS)],
+        bench="BENCH_telemetry", artifacts=_telemetry_artifacts),
+
+    # Distributed scaling sweep: device count x interconnect tier, each
+    # cell planned with partition="auto" and executed.
+    Report("scale", [Section(
+        run_scale_cell, grid(n_devices=SCALE_DEVICES,
+                             interconnect=SCALE_TIERS),
         title="Distributed scaling — skewed operands, auto partition "
-              "(simulated devices)")
-    headline = all(c.two_d_beats_one_d for c in cells if c.n_devices >= 4)
-    content += ("\n\n2-D strictly beats both 1-D shapes at >=4 devices on "
-                f"every tier: {'yes' if headline else 'NO'}")
-    payload = {
-        "metric": cells[0].metric,
-        "k": 10,
-        "devices": list(SCALE_DEVICES),
-        "interconnects": list(SCALE_TIERS),
-        "headline": {"two_d_beats_one_d_at_4plus": headline},
-        "cells": [{
-            "n_devices": c.n_devices,
-            "interconnect": c.interconnect,
-            "chosen_partition": c.chosen_partition,
-            "grid_rows": c.grid_rows,
-            "grid_cols": c.grid_cols,
-            "estimated_seconds": c.estimated_seconds,
-            "compute_seconds_max": c.compute_seconds_max,
-            "comm_seconds": c.comm_seconds,
-            "comm_bytes_total": c.comm_bytes_total,
-            "bytes_by_phase": c.bytes_by_phase,
-            "bytes_by_tier": c.bytes_by_tier,
-            "candidates": c.candidates,
-            "simulated_seconds": c.simulated_seconds,
-            "estimate_equals_executed": c.estimate_equals_executed,
-            "two_d_beats_one_d": c.two_d_beats_one_d,
-            "wall_seconds": c.wall_seconds,
-        } for c in cells],
-    }
-    return Report(content, json_name="BENCH_scale", json_payload=payload)
+              "(simulated devices)",
+        columns=[("devices", "n_devices"), ("interconnect", "interconnect"),
+                 ("auto choice", lambda c: f"{c['chosen_partition']} "
+                                           f"({c['grid_rows']}x"
+                                           f"{c['grid_cols']})"),
+                 ("modeled total", "estimated_seconds", format_seconds),
+                 ("comm (serial)", "comm_seconds", format_seconds),
+                 ("comm bytes", "comm_bytes_total",
+                  lambda b: f"{b / 2**10:.1f} KiB"),
+                 ("est==exec", "estimate_equals_executed", _yes),
+                 ("2d<1d", "two_d_beats_one_d",
+                  lambda v: "-" if v is None else _yes(v))],
+        footer=lambda cells: (
+            "\n\n2-D strictly beats both 1-D shapes at >=4 devices on "
+            f"every tier: {_yes(_scale_headline(cells))}"),
+        checks=[("estimate_equals_executed", "estimate_equals_executed"),
+                ("2-D beats both 1-D shapes at >=4 devices",
+                 lambda c: c["n_devices"] < 4 or c["two_d_beats_one_d"])])],
+        bench="BENCH_scale", top=("metric", "k"),
+        extra=lambda cells: {
+            "devices": list(SCALE_DEVICES),
+            "interconnects": list(SCALE_TIERS),
+            "headline": {"two_d_beats_one_d_at_4plus":
+                         _scale_headline(cells)}}),
+)}
 
 
 def main(argv=None) -> int:
@@ -723,21 +635,10 @@ def main(argv=None) -> int:
 
         tracer = Tracer()
         previous_default = set_default_tracer(tracer)
+    failures: List[str] = []
     try:
         for name in names:
-            start = time.perf_counter()
-            produced = REPORTS[name]()
-            elapsed = time.perf_counter() - start
-            if isinstance(produced, str):
-                produced = Report(produced)
-            path = save_report(f"cli_{name}", produced.content)
-            print(produced.content)
-            print(f"[{name}: {elapsed:.1f}s, saved to {path}]")
-            if produced.json_name is not None:
-                json_path = save_json(produced.json_name,
-                                      produced.json_payload)
-                print(f"[{name}: JSON saved to {json_path}]")
-            print()
+            failures += run_report(REPORTS[name])
     finally:
         if tracer is not None:
             from repro.obs import set_default_tracer, write_chrome_trace
@@ -746,7 +647,9 @@ def main(argv=None) -> int:
             trace_path = write_chrome_trace(tracer, args.trace)
             print(f"[trace: {len(tracer.spans)} spans written to "
                   f"{trace_path}]", file=sys.stderr)
-    return 0
+    for failure in failures:
+        print(f"FAILED {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Experiment runner for the paper-reproduction benchmarks.
+"""Experiment cells for the paper-reproduction benchmarks.
 
 One cell of Table 3 = an end-to-end k-NN query (the paper §4.2: "Each
 experiment trains the NearestNeighbors estimator on the entire dataset and
@@ -7,12 +7,16 @@ distance, engine) triple. The runner executes the cell, returning both the
 **simulated device seconds** (the number the tables report — our stand-in
 for the paper's wall clock on a V100) and the host wall seconds (reported
 for transparency; it measures this Python process, not the modeled GPU).
+
+Every ``run_*_cell`` returns one flat, JSON-ready dict. The report registry
+in :mod:`repro.bench.__main__` renders table columns from its keys and
+writes the ``BENCH_*.json`` payload from them; keys starting with ``_``
+carry report text and artifacts and never reach a payload.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -24,7 +28,6 @@ from repro.datasets.synthetic import SyntheticDataset, load_dataset, \
     make_skewed
 from repro.faults import FaultInjector, FaultSpec, RecoveryPolicy
 from repro.gpusim.specs import DeviceSpec, VOLTA_V100
-from repro.gpusim.stats import KernelStats
 from repro.kernels import make_engine
 from repro.kernels.strategy import DENSE_ITEM_BYTES
 from repro.neighbors.brute_force import NearestNeighbors
@@ -33,16 +36,13 @@ from repro.plan.executor import PlanExecutor
 from repro.plan.pairwise_plan import build_pairwise_plan
 from repro.plan.tiling import OUTPUT_ITEM_BYTES, WORKSPACE_ITEM_BYTES
 
-__all__ = ["BenchCell", "PlanCell", "FaultCell", "ServeCell", "SLOCell",
-           "BurstCell", "AblationCell", "MutateCell", "ScaleCell",
-           "TelemetryCell",
-           "run_knn_cell", "run_baseline_cell", "run_plan_cell",
-           "run_fault_cell", "run_serve_cell", "run_slo_cell",
-           "run_burst_cell", "run_ablation_cell", "run_mutate_cell",
-           "run_scale_cell", "run_telemetry_cell",
-           "ablation_fixed_configs",
+__all__ = ["run_knn_cell", "run_baseline_cell", "run_cpu_cell",
+           "run_plan_cell", "run_fault_cell", "run_serve_cell",
+           "run_slo_cell", "run_burst_cell", "run_ablation_cell",
+           "run_mutate_cell", "run_scale_cell", "run_telemetry_cell",
+           "run_profile_cell", "ablation_fixed_configs", "tile_budget",
            "BENCH_SCALES", "bench_dataset", "MINKOWSKI_P", "KNN_K",
-           "CHAOS_SPECS"]
+           "CHAOS_SPECS", "BURST_BUCKETS_MS"]
 
 #: Scales used by every benchmark (documented in EXPERIMENTS.md); chosen so
 #: the full Table-3 sweep completes in minutes on a laptop while preserving
@@ -70,94 +70,72 @@ def bench_dataset(name: str) -> SyntheticDataset:
     return _DATASET_CACHE[name]
 
 
-@dataclass
-class BenchCell:
-    """The outcome of one (dataset, metric, engine) benchmark cell."""
-
-    dataset: str
-    metric: str
-    engine: str
-    simulated_seconds: float
-    wall_seconds: float
-    stats: KernelStats = field(repr=False, default_factory=KernelStats)
-
-    @property
-    def label(self) -> str:
-        return f"{self.dataset}/{self.metric}/{self.engine}"
-
-
 def _metric_kwargs(metric: str) -> dict:
     return {"p": MINKOWSKI_P} if metric == "minkowski" else {}
+
+
+def tile_budget(matrix, n_tiles: int) -> int:
+    """A memory budget of ``1/n_tiles`` of the monolithic footprint (the
+    full dense self-join block plus its full-stream workspace), forcing at
+    least ``n_tiles`` tiles."""
+    monolithic = (float(matrix.n_rows) * matrix.n_rows * OUTPUT_ITEM_BYTES
+                  + float(matrix.nnz) * WORKSPACE_ITEM_BYTES)
+    return max(1, int(monolithic // max(1, n_tiles)))
+
+
+def _query(dataset: str, metric: str, engine, *, spec: DeviceSpec,
+           n_neighbors: int, **kwargs):
+    """Fit on the whole dataset, query all of it, time only the query;
+    returns ``(distances, indices, report, wall_seconds)``."""
+    nn = NearestNeighbors(n_neighbors=n_neighbors, metric=metric,
+                          metric_params=_metric_kwargs(metric),
+                          engine=engine, device=spec, **kwargs)
+    nn.fit(bench_dataset(dataset).matrix)
+    start = time.perf_counter()
+    dist, idx = nn.kneighbors()
+    return dist, idx, nn.last_report, time.perf_counter() - start
 
 
 def run_knn_cell(dataset: str, metric: str, engine: str, *,
                  spec: DeviceSpec = VOLTA_V100, n_neighbors: int = KNN_K,
                  batch_rows: int = 2048, row_cache: Optional[str] = None,
-                 ) -> BenchCell:
+                 ) -> dict:
     """Run one end-to-end k-NN query cell on a named engine."""
-    ds = bench_dataset(dataset)
     kwargs = {}
     if row_cache is not None and engine == "hybrid_coo":
         kwargs["row_cache"] = row_cache
-    kernel = make_engine(engine, spec, **kwargs)
-    nn = NearestNeighbors(n_neighbors=n_neighbors, metric=metric,
-                          metric_params=_metric_kwargs(metric),
-                          engine=kernel, device=spec, batch_rows=batch_rows)
-    nn.fit(ds.matrix)
-    start = time.perf_counter()
-    nn.kneighbors()
-    wall = time.perf_counter() - start
-    rep = nn.last_report
-    return BenchCell(dataset=dataset, metric=metric, engine=engine,
-                     simulated_seconds=rep.simulated_seconds,
-                     wall_seconds=wall, stats=rep.stats)
+    *_, rep, wall = _query(dataset, metric,
+                           make_engine(engine, spec, **kwargs), spec=spec,
+                           n_neighbors=n_neighbors, batch_rows=batch_rows)
+    return {"dataset": dataset, "metric": metric, "engine": engine,
+            "simulated_seconds": rep.simulated_seconds,
+            "wall_seconds": wall}
 
 
 def run_baseline_cell(dataset: str, metric: str, *,
-                      spec: DeviceSpec = VOLTA_V100,
-                      n_neighbors: int = KNN_K,
-                      batch_rows: int = 2048) -> BenchCell:
+                      spec: DeviceSpec = VOLTA_V100, **kwargs) -> dict:
     """Run the paper's baseline for the metric (csrgemm or naive CSR)."""
     measure = make_distance(metric, **_metric_kwargs(metric))
-    kernel = baseline_engine_for(measure, spec)
+    return run_knn_cell(dataset, metric,
+                        baseline_engine_for(measure, spec).name, spec=spec,
+                        **kwargs)
+
+
+def run_cpu_cell(dataset: str, metric: str) -> dict:
+    """Modeled CPU seconds for the scikit-learn-style baseline (§4.2)."""
     ds = bench_dataset(dataset)
-    nn = NearestNeighbors(n_neighbors=n_neighbors, metric=metric,
-                          metric_params=_metric_kwargs(metric),
-                          engine=kernel, device=spec, batch_rows=batch_rows)
-    nn.fit(ds.matrix)
     start = time.perf_counter()
-    nn.kneighbors()
-    wall = time.perf_counter() - start
-    rep = nn.last_report
-    return BenchCell(dataset=dataset, metric=metric, engine=kernel.name,
-                     simulated_seconds=rep.simulated_seconds,
-                     wall_seconds=wall, stats=rep.stats)
-
-
-@dataclass
-class PlanCell:
-    """One tiled-vs-monolithic execution-plan comparison cell."""
-
-    dataset: str
-    metric: str
-    mode: str
-    n_tiles: int
-    n_workers: int
-    simulated_seconds: float
-    peak_resident_bytes: float
-    monolithic_bytes: float
-    wall_seconds: float
-
-    @property
-    def resident_fraction(self) -> float:
-        """Peak device footprint relative to the untiled full block."""
-        return self.peak_resident_bytes / max(self.monolithic_bytes, 1.0)
+    seconds = CpuBruteForce().modeled_seconds(ds.matrix, ds.matrix, metric,
+                                              **_metric_kwargs(metric))
+    return {"dataset": dataset, "metric": metric, "engine": "cpu-sklearn",
+            "simulated_seconds": seconds,
+            "wall_seconds": time.perf_counter() - start}
 
 
 def run_plan_cell(dataset: str, metric: str, *,
                   spec: DeviceSpec = VOLTA_V100, n_neighbors: int = KNN_K,
                   n_workers: int = 1,
-                  n_tiles_target: Optional[int] = None) -> PlanCell:
+                  n_tiles_target: Optional[int] = None) -> dict:
     """Run one k-NN query through the execution-plan layer and record its
     memory accounting.
 
@@ -165,31 +143,23 @@ def run_plan_cell(dataset: str, metric: str, *,
     dense block); an integer sets the tile budget to ``1/n_tiles_target`` of
     the monolithic footprint, forcing at least that many tiles.
     """
-    ds = bench_dataset(dataset)
-    n_rows = ds.matrix.n_rows
-    budget = None
-    mode = "monolithic"
-    if n_tiles_target is not None:
-        monolithic = (float(n_rows) * n_rows * OUTPUT_ITEM_BYTES
-                      + float(ds.matrix.nnz) * WORKSPACE_ITEM_BYTES)
-        budget = max(1, int(monolithic // n_tiles_target))
-        mode = f"tiled/{n_tiles_target}"
-    nn = NearestNeighbors(n_neighbors=n_neighbors, metric=metric,
-                          metric_params=_metric_kwargs(metric),
-                          engine="hybrid_coo", device=spec,
-                          batch_rows=max(1, n_rows), n_workers=n_workers,
-                          memory_budget_bytes=budget)
-    nn.fit(ds.matrix)
-    start = time.perf_counter()
-    nn.kneighbors()
-    wall = time.perf_counter() - start
-    rep = nn.last_report
-    return PlanCell(dataset=dataset, metric=metric, mode=mode,
-                    n_tiles=rep.n_batches, n_workers=rep.n_workers,
-                    simulated_seconds=rep.simulated_seconds,
-                    peak_resident_bytes=rep.peak_resident_bytes,
-                    monolithic_bytes=rep.monolithic_bytes,
-                    wall_seconds=wall)
+    matrix = bench_dataset(dataset).matrix
+    tiled = n_tiles_target is not None
+    *_, rep, wall = _query(
+        dataset, metric, "hybrid_coo", spec=spec, n_neighbors=n_neighbors,
+        batch_rows=max(1, matrix.n_rows), n_workers=n_workers,
+        memory_budget_bytes=(tile_budget(matrix, n_tiles_target)
+                             if tiled else None))
+    return {"dataset": dataset, "metric": metric,
+            "mode": f"tiled/{n_tiles_target}" if tiled else "monolithic",
+            "n_tiles": rep.n_batches, "n_workers": rep.n_workers,
+            "simulated_seconds": rep.simulated_seconds,
+            "peak_resident_bytes": rep.peak_resident_bytes,
+            "monolithic_bytes": rep.monolithic_bytes,
+            # peak device footprint relative to the untiled full block
+            "resident_fraction": (rep.peak_resident_bytes
+                                  / max(rep.monolithic_bytes, 1.0)),
+            "wall_seconds": wall}
 
 
 #: The chaos schedule every fault bench/CI cell replays: each kind fires
@@ -203,108 +173,44 @@ CHAOS_SPECS = (
 )
 
 
-@dataclass
-class FaultCell:
-    """One chaos cell: a faulty k-NN query checked against its clean twin."""
-
-    dataset: str
-    metric: str
-    seed: int
-    n_workers: int
-    n_tiles: int
-    #: fault events the recovery absorbed (injections + slowdowns)
-    n_faults: int
-    n_retries: int
-    n_tile_splits: int
-    n_degraded: int
-    backoff_seconds: float
-    #: faulty distances and indices bit-identical to the clean run
-    identical: bool
-    clean_seconds: float
-    faulty_seconds: float
-
-    @property
-    def label(self) -> str:
-        return (f"{self.dataset}/{self.metric}/seed{self.seed}"
-                f"/w{self.n_workers}")
-
-
 def run_fault_cell(dataset: str, metric: str, *, seed: int = 0,
                    n_workers: int = 1, n_tiles_target: int = 8,
                    spec: DeviceSpec = VOLTA_V100,
-                   n_neighbors: int = KNN_K) -> FaultCell:
+                   n_neighbors: int = KNN_K) -> dict:
     """Run one k-NN query under an injected fault schedule and verify it.
 
     The same query runs twice — clean, then under :data:`CHAOS_SPECS` with
     the given seed and a default :class:`RecoveryPolicy` — and the cell
     records whether the recovered run reproduced the clean distances and
-    indices bit for bit (the determinism claim the fault matrix checks).
+    indices bit for bit (``identical``, the determinism claim the fault
+    matrix checks).
     """
-    ds = bench_dataset(dataset)
-    n_rows = ds.matrix.n_rows
-    monolithic = (float(n_rows) * n_rows * OUTPUT_ITEM_BYTES
-                  + float(ds.matrix.nnz) * WORKSPACE_ITEM_BYTES)
-    budget = max(1, int(monolithic // max(1, n_tiles_target)))
+    matrix = bench_dataset(dataset).matrix
 
     def query(injector):
-        nn = NearestNeighbors(
-            n_neighbors=n_neighbors, metric=metric,
-            metric_params=_metric_kwargs(metric), engine="hybrid_coo",
-            device=spec, batch_rows=max(1, n_rows), n_workers=n_workers,
-            memory_budget_bytes=budget,
+        return _query(
+            dataset, metric, "hybrid_coo", spec=spec,
+            n_neighbors=n_neighbors, batch_rows=max(1, matrix.n_rows),
+            n_workers=n_workers,
+            memory_budget_bytes=tile_budget(matrix, n_tiles_target),
             recovery=RecoveryPolicy() if injector is not None else None,
-            fault_injector=injector)
-        nn.fit(ds.matrix)
-        dist, idx = nn.kneighbors()
-        return dist, idx, nn.last_report
+            fault_injector=injector)[:3]
 
     c_dist, c_idx, c_rep = query(None)
     f_dist, f_idx, f_rep = query(FaultInjector(CHAOS_SPECS, seed=seed))
-    identical = (np.array_equal(c_dist, f_dist)
-                 and np.array_equal(c_idx, f_idx))
-    return FaultCell(dataset=dataset, metric=metric, seed=seed,
-                     n_workers=n_workers, n_tiles=f_rep.n_batches,
-                     n_faults=len(f_rep.fault_log),
-                     n_retries=f_rep.n_retries,
-                     n_tile_splits=f_rep.n_tile_splits,
-                     n_degraded=len(f_rep.degraded_tiles),
-                     backoff_seconds=sum(e.seconds for e in f_rep.fault_log
-                                         if e.action == "retried"),
-                     identical=identical,
-                     clean_seconds=c_rep.simulated_seconds,
-                     faulty_seconds=f_rep.simulated_seconds)
-
-
-@dataclass
-class AblationCell:
-    """One degree-skew cell of the engine ablation: every fixed
-    configuration vs ``engine="auto"``."""
-
-    sigma: float
-    regime: str
-    metric: str
-    n_rows: int
-    n_cols: int
-    nnz: int
-    degree_cv: float
-    #: config label -> simulated seconds, monolithic plan (default budget)
-    fixed_seconds: Dict[str, float]
-    #: engine/row-cache the autotuner chose
-    auto_engine: str
-    auto_row_cache: Optional[str]
-    auto_seconds: float
-    best_fixed_label: str
-    best_fixed_seconds: float
-    #: ``auto`` matched or beat the best fixed configuration
-    auto_matches_best: bool
-    auto_minus_best_seconds: float
-    #: every configuration produced bit-identical distances
-    identical: bool
-    wall_seconds: float
-
-    @property
-    def label(self) -> str:
-        return f"{self.regime}/{self.metric}/sigma{self.sigma}"
+    return {"dataset": dataset, "metric": metric, "seed": seed,
+            "n_workers": n_workers, "n_tiles": f_rep.n_batches,
+            # fault events the recovery absorbed (injections + slowdowns)
+            "n_faults": len(f_rep.fault_log),
+            "n_retries": f_rep.n_retries,
+            "n_tile_splits": f_rep.n_tile_splits,
+            "n_degraded": len(f_rep.degraded_tiles),
+            "backoff_seconds": sum(e.seconds for e in f_rep.fault_log
+                                   if e.action == "retried"),
+            "identical": bool(np.array_equal(c_dist, f_dist)
+                              and np.array_equal(c_idx, f_idx)),
+            "clean_seconds": c_rep.simulated_seconds,
+            "faulty_seconds": f_rep.simulated_seconds}
 
 
 def ablation_fixed_configs(n_cols: int, spec: DeviceSpec = VOLTA_V100,
@@ -327,14 +233,15 @@ def ablation_fixed_configs(n_cols: int, spec: DeviceSpec = VOLTA_V100,
 def run_ablation_cell(metric: str, *, sigma: float, regime: str,
                       n_cols: int, mean_degree: float, n_rows: int = 96,
                       seed: int = 46,
-                      spec: DeviceSpec = VOLTA_V100) -> AblationCell:
+                      spec: DeviceSpec = VOLTA_V100) -> dict:
     """Run one skewed self-join through every fixed config and ``auto``.
 
     The operand is a :func:`~repro.datasets.synthetic.make_skewed` matrix
     (lognormal degrees with the given ``sigma``); every configuration runs
     the same monolithic pairwise plan, so the recorded simulated seconds
     are exactly the numbers the autotuner's dry runs priced — ``auto``
-    matching the per-cell argmin is the claim this cell checks.
+    matching the per-cell argmin (``auto_matches_best``) is the claim this
+    cell checks, with every configuration bit-identical (``identical``).
     """
     mat = make_skewed(n_rows=n_rows, n_cols=n_cols,
                       mean_degree=mean_degree, sigma=sigma, seed=seed)
@@ -363,70 +270,32 @@ def run_ablation_cell(metric: str, *, sigma: float, regime: str,
                                    key=lambda kv: (kv[1], kv[0]))
     auto_seconds = report.simulated_seconds
     tuning = plan.tuning
-    return AblationCell(
-        sigma=sigma, regime=regime, metric=metric, n_rows=mat.n_rows,
-        n_cols=mat.n_cols, nnz=mat.nnz,
-        degree_cv=float(tuning.probe_a.degree_cv),
-        fixed_seconds=fixed,
-        auto_engine=tuning.engine, auto_row_cache=tuning.row_cache,
-        auto_seconds=auto_seconds,
-        best_fixed_label=best_label, best_fixed_seconds=best_seconds,
-        auto_matches_best=auto_seconds <= best_seconds + 1e-12,
-        auto_minus_best_seconds=auto_seconds - best_seconds,
-        identical=identical, wall_seconds=wall)
-
-
-@dataclass
-class ScaleCell:
-    """One device-count x interconnect-tier cell of the distributed sweep.
-
-    Every number is a pure function of the cost model: the auto
-    partitioner's full candidate table (modeled seconds, exact comm
-    bytes), the chosen shape, and one executed
-    :class:`~repro.dist.DistributedExecutor` run whose simulated seconds
-    must reproduce the modeled total with ``==`` on floats.
-    """
-
-    metric: str
-    n_devices: int
-    interconnect: str
-    chosen_partition: str
-    grid_rows: int
-    grid_cols: int
-    estimated_seconds: float
-    compute_seconds_max: float
-    comm_seconds: float
-    comm_bytes_total: int
-    #: exact per-phase byte totals of the chosen shape's schedule
-    bytes_by_phase: Dict[str, int]
-    #: the full auto-partition candidate table, canonical shape order
-    candidates: List[dict]
-    #: executed run's makespan; must equal ``estimated_seconds`` exactly
-    simulated_seconds: float
-    estimate_equals_executed: bool
-    #: executed bytes per link tier (nvlink/pcie/network)
-    bytes_by_tier: Dict[str, int]
-    #: 2-D strictly cheaper than both 1-D shapes (None below 4 devices,
-    #: where the most-square 2-D grid degenerates into a 1-D one)
-    two_d_beats_one_d: Optional[bool]
-    wall_seconds: float
-
-    @property
-    def label(self) -> str:
-        return f"p{self.n_devices}/{self.interconnect}"
+    return {"sigma": sigma, "regime": regime, "metric": metric,
+            "n_rows": mat.n_rows, "n_cols": mat.n_cols, "nnz": mat.nnz,
+            "degree_cv": float(tuning.probe_a.degree_cv),
+            "fixed_seconds": fixed,
+            "auto_engine": tuning.engine, "auto_row_cache": tuning.row_cache,
+            "auto_seconds": auto_seconds,
+            "best_fixed_label": best_label,
+            "best_fixed_seconds": best_seconds,
+            "auto_matches_best": auto_seconds <= best_seconds + 1e-12,
+            "auto_minus_best_seconds": auto_seconds - best_seconds,
+            "identical": identical, "wall_seconds": wall}
 
 
 def run_scale_cell(n_devices: int, interconnect: str, *,
                    metric: str = "cosine",
-                   n_neighbors: int = KNN_K) -> ScaleCell:
+                   n_neighbors: int = KNN_K) -> dict:
     """Plan and execute one distributed cell on skewed operands.
 
     Builds the ``partition="auto"`` plan (which prices every shape that
     tiles the device count), then executes the chosen plan and checks the
     clean-run contract — executed simulated seconds equal the modeled
-    total exactly. The headline column compares the 2-D candidate's
-    modeled total against both 1-D shapes: strictly cheaper once p >= 4
-    (each operand side pays (sqrt(p) - 1) transfers instead of (p - 1)).
+    total exactly (``estimate_equals_executed``). ``two_d_beats_one_d``
+    compares the 2-D candidate's modeled total against both 1-D shapes:
+    strictly cheaper once p >= 4 (each operand side pays (sqrt(p) - 1)
+    transfers instead of (p - 1)); ``None`` below 4 devices, where the
+    most-square 2-D grid degenerates into a 1-D one.
     """
     from repro.dist import DistributedExecutor, build_distributed_plan
 
@@ -448,70 +317,33 @@ def run_scale_cell(n_devices: int, interconnect: str, *,
     if n_devices >= 4:
         two_d = (by_shape["2d"] < by_shape["1d_row"]
                  and by_shape["2d"] < by_shape["1d_col"])
-    return ScaleCell(
-        metric=metric, n_devices=n_devices, interconnect=interconnect,
-        chosen_partition=plan.choice.partition,
-        grid_rows=plan.partition.grid_rows,
-        grid_cols=plan.partition.grid_cols,
-        estimated_seconds=plan.estimated_seconds,
-        compute_seconds_max=max(plan.compute_seconds),
-        comm_seconds=plan.comm_seconds,
-        comm_bytes_total=plan.comm_bytes,
-        bytes_by_phase=dict(sorted(by_phase.items())),
-        candidates=[c.as_dict() for c in plan.choice.candidates],
-        simulated_seconds=report.simulated_seconds,
-        estimate_equals_executed=(report.simulated_seconds
-                                  == plan.estimated_seconds),
-        bytes_by_tier=dict(sorted(report.bytes_by_tier.items())),
-        two_d_beats_one_d=two_d, wall_seconds=wall)
+    return {"metric": metric, "k": n_neighbors, "n_devices": n_devices,
+            "interconnect": interconnect,
+            "chosen_partition": plan.choice.partition,
+            "grid_rows": plan.partition.grid_rows,
+            "grid_cols": plan.partition.grid_cols,
+            "estimated_seconds": plan.estimated_seconds,
+            "compute_seconds_max": max(plan.compute_seconds),
+            "comm_seconds": plan.comm_seconds,
+            "comm_bytes_total": plan.comm_bytes,
+            "bytes_by_phase": by_phase,
+            "candidates": [c.as_dict() for c in plan.choice.candidates],
+            "simulated_seconds": report.simulated_seconds,
+            "estimate_equals_executed": (report.simulated_seconds
+                                         == plan.estimated_seconds),
+            # executed bytes per link tier (nvlink/pcie/network)
+            "bytes_by_tier": dict(report.bytes_by_tier),
+            "two_d_beats_one_d": two_d, "wall_seconds": wall}
 
 
-def run_cpu_cell(dataset: str, metric: str) -> BenchCell:
-    """Modeled CPU seconds for the scikit-learn-style baseline (§4.2)."""
-    ds = bench_dataset(dataset)
-    cpu = CpuBruteForce()
-    start = time.perf_counter()
-    seconds = cpu.modeled_seconds(ds.matrix, ds.matrix, metric,
-                                  **_metric_kwargs(metric))
-    wall = time.perf_counter() - start
-    return BenchCell(dataset=dataset, metric=metric, engine="cpu-sklearn",
-                     simulated_seconds=seconds, wall_seconds=wall)
+def _sharded_index(dataset: str, metric: str, n_shards: int,
+                   placement: str = "degree_balanced"):
+    from repro.serve import ShardedIndex
 
-
-@dataclass
-class ServeCell:
-    """One serving configuration driven by a synthetic request stream."""
-
-    dataset: str
-    metric: str
-    n_shards: int
-    placement: str
-    max_batch_rows: int
-    n_workers: int
-    n_requests: int
-    total_rows: int
-    n_batches: int
-    mean_batch_rows: float
-    #: query rows served per simulated second (first arrival → last
-    #: completion)
-    throughput_rows_per_s: float
-    #: interpolated quantiles from the ``serve_latency_ms`` histogram
-    #: (:meth:`~repro.obs.metrics.Histogram.quantile`), accurate to within
-    #: one latency bucket
-    p50_latency_ms: float
-    p99_latency_ms: float
-    wall_seconds: float
-    #: per-request simulated latencies, admission order (exact samples the
-    #: histogram quantiles approximate; kept in ``BENCH_serve.json`` for
-    #: offline analysis, not gated on directly)
-    latency_samples_ms: Tuple[float, ...] = ()
-    deadline_missed: int = 0
-    partial_results: int = 0
-
-    @property
-    def label(self) -> str:
-        return (f"{self.dataset}/{self.metric}/shards{self.n_shards}"
-                f"/batch{self.max_batch_rows}")
+    return ShardedIndex.build(
+        bench_dataset(dataset).matrix, metric=metric,
+        metric_params=_metric_kwargs(metric), n_shards=n_shards,
+        placement=placement)
 
 
 def run_serve_cell(dataset: str, metric: str, *, n_shards: int = 2,
@@ -520,79 +352,59 @@ def run_serve_cell(dataset: str, metric: str, *, n_shards: int = 2,
                    n_workers: int = 1, n_requests: int = 48,
                    rows_per_request: int = 4,
                    arrival_gap_ms: float = 0.25,
-                   n_neighbors: int = KNN_K) -> ServeCell:
+                   n_neighbors: int = KNN_K) -> dict:
     """Serve a synthetic open-loop request stream against one config.
 
     Requests are ``rows_per_request``-row slices of the dataset itself,
-    arriving every ``arrival_gap_ms`` of simulated time; throughput comes
+    arriving every ``arrival_gap_ms`` of simulated time; throughput (query
+    rows per simulated second, first arrival → last completion) comes
     from the server's deterministic latency model and latency percentiles
     from the ``serve_latency_ms`` histogram's interpolated
-    :meth:`~repro.obs.metrics.Histogram.quantile`, so cells are exactly
-    reproducible.
+    :meth:`~repro.obs.metrics.Histogram.quantile` (accurate to within one
+    bucket), so cells are exactly reproducible. The exact per-request
+    samples the quantiles approximate are kept for offline analysis.
     """
     from repro.obs.metrics import MetricsRegistry
-    from repro.serve import Server, ShardedIndex
+    from repro.serve import Server
 
-    ds = bench_dataset(dataset)
-    index = ShardedIndex.build(
-        ds.matrix, metric=metric, metric_params=_metric_kwargs(metric),
-        n_shards=n_shards, placement=placement)
+    matrix = bench_dataset(dataset).matrix
     metrics = MetricsRegistry()
-    server = Server(index, max_batch_rows=max_batch_rows,
-                    max_wait_ms=max_wait_ms, n_workers=n_workers,
-                    metrics=metrics)
+    server = Server(_sharded_index(dataset, metric, n_shards, placement),
+                    max_batch_rows=max_batch_rows, max_wait_ms=max_wait_ms,
+                    n_workers=n_workers, metrics=metrics)
 
-    n_rows = ds.matrix.n_rows
     start = time.perf_counter()
     futures = []
     for i in range(n_requests):
-        lo = (i * rows_per_request) % max(1, n_rows - rows_per_request)
-        block = ds.matrix.slice_rows(lo, lo + rows_per_request)
+        lo = (i * rows_per_request) % max(1, matrix.n_rows - rows_per_request)
+        block = matrix.slice_rows(lo, lo + rows_per_request)
         futures.append(server.submit(block, n_neighbors,
                                      arrival_ms=i * arrival_gap_ms))
     server.drain()
     wall = time.perf_counter() - start
     results = [f.result() for f in futures]
 
-    latencies = tuple(float(r.report.latency_ms) for r in results)
     hist = metrics.histogram("serve_latency_ms")
     total_rows = sum(b.n_rows for b in server.batch_reports)
     span_ms = (max(b.completion_ms for b in server.batch_reports)
                - min(r.report.arrival_ms for r in results))
-    throughput = total_rows / (span_ms / 1e3) if span_ms > 0 else 0.0
-    return ServeCell(
-        dataset=dataset, metric=metric, n_shards=n_shards,
-        placement=placement, max_batch_rows=max_batch_rows,
-        n_workers=n_workers, n_requests=n_requests, total_rows=total_rows,
-        n_batches=len(server.batch_reports),
-        mean_batch_rows=total_rows / len(server.batch_reports),
-        throughput_rows_per_s=throughput,
-        p50_latency_ms=hist.quantile(0.50),
-        p99_latency_ms=hist.quantile(0.99),
-        wall_seconds=wall,
-        latency_samples_ms=latencies,
-        deadline_missed=int(
-            metrics.counter("serve_deadline_missed_total").value()),
-        partial_results=int(
-            metrics.counter("serve_partial_results_total").value()))
-
-
-@dataclass
-class SLOCell:
-    """One SLO-monitored serve run: phased traffic + burn-rate evaluation."""
-
-    dataset: str
-    metric: str
-    n_requests: int
-    deadline_missed: int
-    p50_latency_ms: float
-    p99_latency_ms: float
-    #: ``(objective, at_ms, observed, ok, burn_rate, budget_remaining)``
-    #: for every monitor tick, in tick order
-    statuses: List[tuple] = field(default_factory=list)
-    alerts: List[tuple] = field(default_factory=list)
-    report_text: str = ""
-    wall_seconds: float = 0.0
+    return {"dataset": dataset, "metric": metric, "n_shards": n_shards,
+            "placement": placement, "max_batch_rows": max_batch_rows,
+            "n_workers": n_workers, "n_requests": n_requests,
+            "total_rows": total_rows,
+            "n_batches": len(server.batch_reports),
+            "mean_batch_rows": total_rows / len(server.batch_reports),
+            "throughput_rows_per_s": (total_rows / (span_ms / 1e3)
+                                      if span_ms > 0 else 0.0),
+            "p50_latency_ms": hist.quantile(0.50),
+            "p99_latency_ms": hist.quantile(0.99),
+            "wall_seconds": wall,
+            "latency_samples_ms": [float(r.report.latency_ms)
+                                   for r in results],
+            "deadline_missed": int(
+                metrics.counter("serve_deadline_missed_total").value()),
+            "partial_results": int(
+                metrics.counter("serve_partial_results_total").value())}
 
 
 def run_slo_cell(dataset: str, metric: str, *, n_shards: int = 2,
@@ -602,26 +414,25 @@ def run_slo_cell(dataset: str, metric: str, *, n_shards: int = 2,
                  deadline_miss_rate: float = 0.05,
                  burn_alert: float = 2.0,
                  window_ms: float = 40.0,
-                 n_neighbors: int = KNN_K) -> SLOCell:
+                 n_neighbors: int = KNN_K) -> dict:
     """Drive a three-phase request stream under an :class:`SLOMonitor`.
 
     Phase 1 is healthy (wide arrival gaps, loose deadlines), phase 2 is an
     overload burst (near-simultaneous arrivals, tight deadlines — the
     deadline-miss burn rate spikes and alerts fire), phase 3 recovers. The
     monitor ticks on the simulated clock after each phase's drain, so the
-    alert sequence is deterministic run to run.
+    alert sequence is deterministic run to run. ``statuses`` holds every
+    tick's objective statuses in tick order.
     """
     from repro.obs import SLOMonitor, default_serve_objectives
     from repro.obs.metrics import MetricsRegistry
-    from repro.serve import Server, ShardedIndex
+    from repro.serve import Server
 
-    ds = bench_dataset(dataset)
-    index = ShardedIndex.build(
-        ds.matrix, metric=metric, metric_params=_metric_kwargs(metric),
-        n_shards=n_shards, placement="degree_balanced")
+    matrix = bench_dataset(dataset).matrix
     metrics = MetricsRegistry()
-    server = Server(index, max_batch_rows=max_batch_rows,
-                    max_wait_ms=2.0, n_workers=n_workers, metrics=metrics)
+    server = Server(_sharded_index(dataset, metric, n_shards),
+                    max_batch_rows=max_batch_rows, max_wait_ms=2.0,
+                    n_workers=n_workers, metrics=metrics)
     monitor = SLOMonitor(
         metrics,
         default_serve_objectives(p99_latency_ms=p99_latency_ms,
@@ -629,20 +440,18 @@ def run_slo_cell(dataset: str, metric: str, *, n_shards: int = 2,
                                  burn_alert=burn_alert),
         window_ms=window_ms)
 
-    n_rows = ds.matrix.n_rows
     #: (arrival gap ms, deadline slack ms) per phase; the burst slack sits
     #: inside the batch turnaround time so most burst requests miss
     phases = [(2.0, 500.0), (0.05, 0.05), (2.0, 500.0)]
-    start = time.perf_counter()
     arrival = 0.0
     tick_ms = 0.0
     futures = []
-    statuses: List[tuple] = []
+    statuses: List[dict] = []
     for gap_ms, slack_ms in phases:
         for _ in range(phase_requests):
             lo = (len(futures) * rows_per_request) \
-                % max(1, n_rows - rows_per_request)
-            block = ds.matrix.slice_rows(lo, lo + rows_per_request)
+                % max(1, matrix.n_rows - rows_per_request)
+            block = matrix.slice_rows(lo, lo + rows_per_request)
             futures.append(server.submit(
                 block, n_neighbors, arrival_ms=arrival,
                 deadline_ms=arrival + slack_ms))
@@ -651,66 +460,24 @@ def run_slo_cell(dataset: str, metric: str, *, n_shards: int = 2,
         tick_ms = max(tick_ms + 1.0,
                       max(b.completion_ms for b in server.batch_reports))
         statuses.extend(
-            (s.objective, s.at_ms, s.observed, s.ok, s.burn_rate,
-             s.budget_remaining)
+            {"objective": s.objective, "at_ms": s.at_ms,
+             "observed": s.observed, "ok": s.ok, "burn_rate": s.burn_rate,
+             "budget_remaining": s.budget_remaining}
             for s in monitor.observe(tick_ms))
-    wall = time.perf_counter() - start
     for f in futures:
         f.result()
 
     hist = metrics.histogram("serve_latency_ms")
-    return SLOCell(
-        dataset=dataset, metric=metric, n_requests=len(futures),
-        deadline_missed=int(
-            metrics.counter("serve_deadline_missed_total").value()),
-        p50_latency_ms=hist.quantile(0.50),
-        p99_latency_ms=hist.quantile(0.99),
-        statuses=statuses,
-        alerts=[(a.objective, a.at_ms, a.burn_rate) for a in monitor.alerts],
-        report_text=monitor.render(),
-        wall_seconds=wall)
-
-
-@dataclass
-class BurstCell:
-    """One heavy-tailed (bursty/diurnal) serve run, with or without the
-    SLO-driven shed ladder; the with/without pair is the bench's evidence
-    that backpressure trades low-priority traffic for the top priority
-    class's latency objective."""
-
-    dataset: str
-    metric: str
-    backpressure: bool
-    seed: int
-    n_submissions: int
-    resolved: int
-    shed: int
-    rejected: int
-    degraded: int
-    deadline_missed: int
-    #: ``serve_requests_total == resolved + shed + rejected``, exactly
-    reconciled: bool
-    p50_latency_ms: float
-    p99_latency_ms: float
-    #: priority-0 p99 vs its SLObjective at the final monitor tick
-    p0_p99_latency_ms: float
-    p0_threshold_ms: float
-    p0_ok: bool
-    #: burn-rate alerts fired on the priority-0 latency objective
-    p0_alerts: int
-    #: burn-rate alerts on the overall-latency objective the shed ladder
-    #: watches (fires in both arms; the p0 objective should not)
-    driver_alerts: int
-    #: highest shed-ladder rung reached (0 = never shed)
-    peak_shed_level: int
-    #: refusals by ``AdmissionRejected.reason``
-    refusals_by_reason: Dict[str, int] = field(default_factory=dict)
-    wall_seconds: float = 0.0
-
-    @property
-    def label(self) -> str:
-        return (f"{self.dataset}/{self.metric}/"
-                f"{'backpressure' if self.backpressure else 'open-loop'}")
+    return {"dataset": dataset, "metric": metric,
+            "n_requests": len(futures),
+            "deadline_missed": int(
+                metrics.counter("serve_deadline_missed_total").value()),
+            "p50_latency_ms": hist.quantile(0.50),
+            "p99_latency_ms": hist.quantile(0.99),
+            "statuses": statuses,
+            "alerts": [{"objective": a.objective, "at_ms": a.at_ms,
+                        "burn_rate": a.burn_rate} for a in monitor.alerts],
+            "_report_text": monitor.render()}
 
 
 #: Histogram buckets for the burst cell's microsecond-scale latencies: the
@@ -723,6 +490,89 @@ class BurstCell:
 BURST_BUCKETS_MS: Tuple[float, ...] = tuple(
     0.001 * 2 ** i for i in range(15))
 
+#: SLO objective names the burst replay monitors
+_DRIVER_OBJECTIVE = "p99_latency_ms"
+_P0_OBJECTIVE = "p99_latency_ms_priority_0"
+
+
+def _replay_burst(dataset: str, metric: str, *, backpressure: bool,
+                  seed: int, n_requests: int, n_shards: int,
+                  max_batch_rows: int, max_wait_ms: float,
+                  p0_p99_ms: float, driver_p99_ms: float, burn_alert: float,
+                  window_ms: float, poll_interval_ms: float,
+                  mean_gap_ms: float, deadline_slack_ms: float,
+                  n_neighbors: int, **server_kwargs):
+    """Serve one seeded heavy-tailed arrival trace on the simulated clock.
+
+    The server, its :class:`SLOMonitor` (a driver objective on overall
+    latency plus the priority-0 objective) and, with ``backpressure``, the
+    :class:`~repro.serve.BackpressureController` are built here; the
+    monitor ticks at every arrival and once after the final drain. Returns
+    ``(server, metrics, monitor, n_submissions, peak_shed_level)``.
+    """
+    from repro.obs import SLOMonitor, priority_latency_objectives
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.slo import SLObjective
+    from repro.serve import (
+        AdmissionRejected,
+        BackpressureController,
+        Server,
+        heavy_tailed_trace,
+    )
+
+    matrix = bench_dataset(dataset).matrix
+    metrics = MetricsRegistry()
+    for name in ("serve_latency_ms", "serve_priority_latency_ms",
+                 "serve_queue_wait_ms"):
+        metrics.histogram(name, buckets=BURST_BUCKETS_MS)
+    monitor = SLOMonitor(
+        metrics,
+        (SLObjective(
+            name=_DRIVER_OBJECTIVE, kind="quantile",
+            metric="serve_latency_ms", q=0.99, threshold=driver_p99_ms,
+            burn_alert=burn_alert,
+            description="overall p99 latency; drives the shed ladder"),)
+        + priority_latency_objectives({0: p0_p99_ms},
+                                      burn_alert=burn_alert),
+        window_ms=window_ms)
+    controller = (BackpressureController(monitor,
+                                         objective=_DRIVER_OBJECTIVE,
+                                         poll_interval_ms=poll_interval_ms)
+                  if backpressure else None)
+    server = Server(_sharded_index(dataset, metric, n_shards),
+                    max_batch_rows=max_batch_rows, max_wait_ms=max_wait_ms,
+                    backpressure=controller, metrics=metrics,
+                    **server_kwargs)
+
+    trace = heavy_tailed_trace(
+        n_requests=n_requests, seed=seed, mean_gap_ms=mean_gap_ms,
+        gap_sigma=1.4, diurnal_period_ms=0.15, diurnal_amplitude=0.9,
+        rows_choices=(1, 2, 4),
+        deadline_ms_by_priority={p: deadline_slack_ms for p in (0, 1, 2)})
+    peak_level = 0
+    row_cursor = 0
+    for t in trace:
+        lo = row_cursor % max(1, matrix.n_rows - t.n_rows)
+        row_cursor += t.n_rows
+        block = matrix.slice_rows(lo, lo + t.n_rows)
+        # The monitor also ticks at arrivals (monotone-guarded) so the
+        # no-backpressure run records the same burn-rate history the
+        # controller would have seen.
+        if t.arrival_ms >= monitor.last_ms:
+            monitor.observe(t.arrival_ms)
+        try:
+            server.submit(block, n_neighbors, arrival_ms=t.arrival_ms,
+                          deadline_ms=t.deadline_ms, priority=t.priority)
+        except AdmissionRejected:
+            pass
+        if controller is not None:
+            peak_level = max(peak_level, controller.level)
+    server.drain()
+    final_ms = max((b.completion_ms for b in server.batch_reports),
+                   default=monitor.last_ms)
+    monitor.observe(max(final_ms, monitor.last_ms))
+    return server, metrics, monitor, len(trace), peak_level
+
 
 def run_burst_cell(dataset: str = "movielens", metric: str = "cosine", *,
                    backpressure: bool, seed: int = 7,
@@ -733,7 +583,7 @@ def run_burst_cell(dataset: str = "movielens", metric: str = "cosine", *,
                    poll_interval_ms: float = 0.002,
                    mean_gap_ms: float = 0.0005,
                    deadline_slack_ms: float = 0.05,
-                   n_neighbors: int = KNN_K) -> BurstCell:
+                   n_neighbors: int = KNN_K) -> dict:
     """Serve one seeded heavy-tailed arrival trace, optionally shedding.
 
     The trace (:func:`~repro.serve.heavy_tailed_trace`) is bursty and
@@ -746,79 +596,20 @@ def run_burst_cell(dataset: str = "movielens", metric: str = "cosine", *,
     (``driver_p99_ms``) — backlog shows up there first, across the whole
     traffic mix, so shedding engages before the priority-0 objective
     takes damage. The cell records both the traffic ledger
-    (resolved/shed/rejected, reconciled to the integer) and the final
-    verdict of each objective.
+    (resolved/shed/rejected, ``reconciled`` to the integer) and the final
+    verdict of each objective: ``p0_alerts`` counts burn alerts on the
+    priority-0 objective, ``driver_alerts`` those on the overall objective
+    the shed ladder watches (it fires in both arms; p0 should not), and
+    ``peak_shed_level`` is the highest ladder rung reached.
     """
-    from repro.obs import SLOMonitor, priority_latency_objectives
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.slo import SLObjective
-    from repro.serve import (
-        AdmissionRejected,
-        BackpressureController,
-        Server,
-        ShardedIndex,
-        heavy_tailed_trace,
-    )
-
-    ds = bench_dataset(dataset)
-    index = ShardedIndex.build(
-        ds.matrix, metric=metric, metric_params=_metric_kwargs(metric),
-        n_shards=n_shards, placement="degree_balanced")
-    metrics = MetricsRegistry()
-    for name in ("serve_latency_ms", "serve_priority_latency_ms",
-                 "serve_queue_wait_ms"):
-        metrics.histogram(name, buckets=BURST_BUCKETS_MS)
-    driver_objective = "p99_latency_ms"
-    p0_objective = "p99_latency_ms_priority_0"
-    monitor = SLOMonitor(
-        metrics,
-        (SLObjective(
-            name=driver_objective, kind="quantile",
-            metric="serve_latency_ms", q=0.99, threshold=driver_p99_ms,
-            burn_alert=burn_alert,
-            description="overall p99 latency; drives the shed ladder"),)
-        + priority_latency_objectives({0: p0_p99_ms},
-                                      burn_alert=burn_alert),
-        window_ms=window_ms)
-    controller = (BackpressureController(monitor,
-                                         objective=driver_objective,
-                                         poll_interval_ms=poll_interval_ms)
-                  if backpressure else None)
-    server = Server(index, max_batch_rows=max_batch_rows,
-                    max_wait_ms=max_wait_ms, backpressure=controller,
-                    metrics=metrics)
-
-    trace = heavy_tailed_trace(
-        n_requests=n_requests, seed=seed, mean_gap_ms=mean_gap_ms,
-        gap_sigma=1.4, diurnal_period_ms=0.15, diurnal_amplitude=0.9,
-        rows_choices=(1, 2, 4),
-        deadline_ms_by_priority={p: deadline_slack_ms for p in (0, 1, 2)})
-    n_rows = ds.matrix.n_rows
-    start = time.perf_counter()
-    refused = 0
-    peak_level = 0
-    row_cursor = 0
-    for t in trace:
-        lo = row_cursor % max(1, n_rows - t.n_rows)
-        row_cursor += t.n_rows
-        block = ds.matrix.slice_rows(lo, lo + t.n_rows)
-        # The monitor also ticks at arrivals (monotone-guarded) so the
-        # no-backpressure run records the same burn-rate history the
-        # controller would have seen.
-        if t.arrival_ms >= monitor.last_ms:
-            monitor.observe(t.arrival_ms)
-        try:
-            server.submit(block, n_neighbors, arrival_ms=t.arrival_ms,
-                          deadline_ms=t.deadline_ms, priority=t.priority)
-        except AdmissionRejected:
-            refused += 1
-        if controller is not None:
-            peak_level = max(peak_level, controller.level)
-    server.drain()
-    final_ms = max((b.completion_ms for b in server.batch_reports),
-                   default=monitor.last_ms)
-    monitor.observe(max(final_ms, monitor.last_ms))
-    wall = time.perf_counter() - start
+    server, metrics, monitor, n_submissions, peak_level = _replay_burst(
+        dataset, metric, backpressure=backpressure, seed=seed,
+        n_requests=n_requests, n_shards=n_shards,
+        max_batch_rows=max_batch_rows, max_wait_ms=max_wait_ms,
+        p0_p99_ms=p0_p99_ms, driver_p99_ms=driver_p99_ms,
+        burn_alert=burn_alert, window_ms=window_ms,
+        poll_interval_ms=poll_interval_ms, mean_gap_ms=mean_gap_ms,
+        deadline_slack_ms=deadline_slack_ms, n_neighbors=n_neighbors)
 
     requests_total = int(metrics.counter("serve_requests_total").value())
     resolved = len(server.request_reports)
@@ -828,76 +619,44 @@ def run_burst_cell(dataset: str = "movielens", metric: str = "cosine", *,
     for r in server.shed_reports:
         refusals[r.reason] = refusals.get(r.reason, 0) + 1
     p0_status = next(s for s in monitor.last_statuses
-                     if s.objective == p0_objective)
-    hist = metrics.histogram("serve_latency_ms")
-    prio_hist = metrics.histogram("serve_priority_latency_ms")
-    return BurstCell(
-        dataset=dataset, metric=metric, backpressure=backpressure,
-        seed=seed, n_submissions=len(trace), resolved=resolved, shed=shed,
-        rejected=rejected,
-        degraded=sum(1 for r in server.request_reports if r.degraded),
-        deadline_missed=int(
-            metrics.counter("serve_deadline_missed_total").value()),
-        reconciled=(requests_total == resolved + shed + rejected
-                    and len(trace) == requests_total),
-        p50_latency_ms=hist.quantile(0.50),
-        p99_latency_ms=hist.quantile(0.99),
-        p0_p99_latency_ms=prio_hist.quantile(0.99, priority="0"),
-        p0_threshold_ms=p0_p99_ms, p0_ok=p0_status.ok,
-        p0_alerts=sum(1 for a in monitor.alerts
-                      if a.objective == p0_objective),
-        driver_alerts=sum(1 for a in monitor.alerts
-                          if a.objective == driver_objective),
-        peak_shed_level=peak_level, refusals_by_reason=refusals,
-        wall_seconds=wall)
-
-
-@dataclass
-class MutateCell:
-    """One mutable-index lifecycle replay: mutations, faults, rebalance,
-    snapshot round-trip — with every query checked against a fresh fit."""
-
-    seed: int
-    metric: str
-    n_shards: int
-    n_ops: int
-    n_upserts: int
-    n_deletes: int
-    n_compactions: int
-    live_rows_final: int
-    generation_final: int
-    #: every differential checkpoint was bit-identical to a fresh fit
-    identity_ok: bool
-    #: the forced mid-compaction fault aborted at the expected watermark
-    #: and the resumed compaction completed
-    resume_ok: bool
-    #: restore(snapshot(index)) served bit-identical answers
-    snapshot_roundtrip_ok: bool
-    compaction_retries: int
-    compaction_resumes: int
-    fault_aborts: int
-    compaction_sim_seconds: float
-    imbalance_before_rebalance: float
-    imbalance_after_rebalance: float
-    query_checks: int
-    wall_seconds: float
-
-    @property
-    def label(self) -> str:
-        return f"seed{self.seed}/shards{self.n_shards}"
+                     if s.objective == _P0_OBJECTIVE)
+    return {"backpressure": backpressure, "seed": seed,
+            "n_submissions": n_submissions, "resolved": resolved,
+            "shed": shed, "rejected": rejected,
+            "degraded": sum(1 for r in server.request_reports
+                            if r.degraded),
+            "deadline_missed": int(
+                metrics.counter("serve_deadline_missed_total").value()),
+            "reconciled": (requests_total == resolved + shed + rejected
+                           and n_submissions == requests_total),
+            "p50_latency_ms": metrics.histogram(
+                "serve_latency_ms").quantile(0.50),
+            "p99_latency_ms": metrics.histogram(
+                "serve_latency_ms").quantile(0.99),
+            "p0_p99_latency_ms": metrics.histogram(
+                "serve_priority_latency_ms").quantile(0.99, priority="0"),
+            "p0_threshold_ms": p0_p99_ms, "p0_ok": p0_status.ok,
+            "p0_alerts": sum(1 for a in monitor.alerts
+                             if a.objective == _P0_OBJECTIVE),
+            "driver_alerts": sum(1 for a in monitor.alerts
+                                 if a.objective == _DRIVER_OBJECTIVE),
+            "peak_shed_level": peak_level,
+            "refusals_by_reason": refusals}
 
 
 def run_mutate_cell(seed: int = 0, *, metric: str = "euclidean",
                     n_shards: int = 3, n_ops: int = 24,
-                    n_neighbors: int = 6) -> MutateCell:
+                    n_neighbors: int = 6) -> dict:
     """Replay a seeded mutation schedule and the full lifecycle ladder.
 
     Four phases, all on the simulated clock: (1) the random
     upsert/delete/compact schedule with a fresh-fit differential check
-    after every op; (2) a forced mid-compaction fault
-    (:func:`~repro.faults.spec.fatal_specs` on shard 1) with watermark
-    resume; (3) a degree-drift rebalance; (4) a snapshot → restore
-    round-trip. Every reported number is deterministic in ``seed``.
+    after every op (``identity_ok``); (2) a forced mid-compaction fault
+    (:func:`~repro.faults.spec.fatal_specs` on shard 1) that must abort
+    at the expected watermark and resume (``resume_ok``); (3) a
+    degree-drift rebalance; (4) a snapshot → restore round-trip serving
+    bit-identical answers (``snapshot_roundtrip_ok``). Every reported
+    number is deterministic in ``seed``.
     """
     import tempfile
 
@@ -988,162 +747,27 @@ def run_mutate_cell(seed: int = 0, *, metric: str = "euclidean",
                                  and np.array_equal(got[1], want[1]))
     wall = time.perf_counter() - start
 
-    sim_seconds = sum(r.simulated_seconds
-                      for r in index.compaction_reports)
-    return MutateCell(
-        seed=seed, metric=metric, n_shards=n_shards, n_ops=len(ops),
-        n_upserts=n_upserts, n_deletes=n_deletes,
-        n_compactions=int(
-            metrics.counter("compaction_total").value(reason="manual")
-            + metrics.counter("compaction_total").value(reason="rebalance")),
-        live_rows_final=index.n_rows,
-        generation_final=index.generation,
-        identity_ok=identity_ok, resume_ok=resume_ok,
-        snapshot_roundtrip_ok=snapshot_roundtrip_ok,
-        compaction_retries=int(
-            metrics.counter("compaction_retries_total").value()),
-        compaction_resumes=int(
-            metrics.counter("compaction_resumes_total").value()),
-        fault_aborts=int(
-            metrics.counter("compaction_faults_total").value()),
-        compaction_sim_seconds=sim_seconds,
-        imbalance_before_rebalance=imbalance_before,
-        imbalance_after_rebalance=imbalance_after,
-        query_checks=query_checks, wall_seconds=wall)
-
-
-@dataclass
-class TelemetryCell:
-    """One fully-instrumented burst-trace serve run: wide events, sampling,
-    exemplars, and the serial-vs-parallel determinism contract.
-
-    The cell drives the same heavy-tailed trace as :class:`BurstCell`
-    through a traced :class:`~repro.serve.Server` wired to a
-    :class:`~repro.obs.Telemetry` spine, then checks the telemetry
-    acceptance bar end to end: every event validates against the JSON
-    schema, event counts reconcile exactly against the serve reports,
-    every deadline-missed trace survives tail sampling, every nonzero
-    latency bucket's exemplar resolves to an event chain whose
-    critical-path seconds reproduce the reported latency with ``==`` on
-    floats, and a 4-worker rerun produces byte-identical events and
-    sampling decisions."""
-
-    dataset: str
-    metric: str
-    seed: int
-    head_rate: float
-    n_submissions: int
-    resolved: int
-    refused: int
-    deadline_missed: int
-    #: wide events by kind (request/tile/shed/... — gated exactly in CI)
-    events_total: Dict[str, int] = field(default_factory=dict)
-    events_total_all: int = 0
-    #: sampling outcome (gated exactly in CI)
-    sampled_total: int = 0
-    dropped_total: int = 0
-    n_traces: int = 0
-    p99_threshold_ms: float = 0.0
-    #: every emitted event passed :func:`~repro.obs.validate_event`
-    schema_valid: bool = False
-    #: per-kind event counts == serve-report totals, exactly
-    reconciled: bool = False
-    reconciliation: Dict[str, bool] = field(default_factory=dict)
-    #: every deadline-missed request's trace id is in the kept set
-    tail_covers_deadline_missed: bool = False
-    #: nonzero latency buckets carrying an exemplar (== all of them)
-    exemplar_buckets: int = 0
-    exemplar_buckets_expected: int = 0
-    #: every exemplar's critical path reproduces its latency with ==
-    exemplar_chain_exact: bool = False
-    #: serial vs 4-worker: same events, same keep/drop bytes
-    events_identical: bool = False
-    decisions_identical: bool = False
-    #: transfer events from a small distributed run == its comm steps
-    dist_transfers_reconciled: bool = False
-    wall_seconds: float = 0.0
-    #: artifacts for the bench report (not part of the gated payload)
-    snapshot: dict = field(default_factory=dict)
-    console_text: str = ""
-    sampled_records: List[dict] = field(default_factory=list)
-
-
-def _telemetry_arm(dataset: str, metric: str, *, seed: int,
-                   n_requests: int, n_shards: int, max_batch_rows: int,
-                   max_wait_ms: float, mean_gap_ms: float,
-                   deadline_slack_ms: float, n_neighbors: int,
-                   head_rate: float, n_workers: int, driver_p99_ms: float,
-                   window_ms: float, poll_interval_ms: float):
-    """One instrumented burst-trace run; returns (server, metrics,
-    monitor, telemetry)."""
-    from repro.obs import (
-        SamplingPolicy,
-        SLOMonitor,
-        Telemetry,
-        Tracer,
-        priority_latency_objectives,
-    )
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.slo import SLObjective
-    from repro.serve import (
-        AdmissionRejected,
-        BackpressureController,
-        Server,
-        ShardedIndex,
-        heavy_tailed_trace,
-    )
-
-    ds = bench_dataset(dataset)
-    index = ShardedIndex.build(
-        ds.matrix, metric=metric, metric_params=_metric_kwargs(metric),
-        n_shards=n_shards, placement="degree_balanced")
-    metrics = MetricsRegistry()
-    for name in ("serve_latency_ms", "serve_priority_latency_ms",
-                 "serve_queue_wait_ms"):
-        metrics.histogram(name, buckets=BURST_BUCKETS_MS)
-    driver_objective = "p99_latency_ms"
-    monitor = SLOMonitor(
-        metrics,
-        (SLObjective(
-            name=driver_objective, kind="quantile",
-            metric="serve_latency_ms", q=0.99, threshold=driver_p99_ms,
-            burn_alert=1.5,
-            description="overall p99 latency; drives the shed ladder"),)
-        + priority_latency_objectives({0: 0.08}, burn_alert=1.5),
-        window_ms=window_ms)
-    controller = BackpressureController(
-        monitor, objective=driver_objective,
-        poll_interval_ms=poll_interval_ms)
-    telemetry = Telemetry(
-        policy=SamplingPolicy(head_rate=head_rate, seed=seed))
-    server = Server(index, max_batch_rows=max_batch_rows,
-                    max_wait_ms=max_wait_ms, backpressure=controller,
-                    metrics=metrics, trace=Tracer(), telemetry=telemetry,
-                    n_workers=n_workers)
-
-    trace = heavy_tailed_trace(
-        n_requests=n_requests, seed=seed, mean_gap_ms=mean_gap_ms,
-        gap_sigma=1.4, diurnal_period_ms=0.15, diurnal_amplitude=0.9,
-        rows_choices=(1, 2, 4),
-        deadline_ms_by_priority={p: deadline_slack_ms for p in (0, 1, 2)})
-    n_rows = ds.matrix.n_rows
-    row_cursor = 0
-    for t in trace:
-        lo = row_cursor % max(1, n_rows - t.n_rows)
-        row_cursor += t.n_rows
-        block = ds.matrix.slice_rows(lo, lo + t.n_rows)
-        if t.arrival_ms >= monitor.last_ms:
-            monitor.observe(t.arrival_ms)
-        try:
-            server.submit(block, n_neighbors, arrival_ms=t.arrival_ms,
-                          deadline_ms=t.deadline_ms, priority=t.priority)
-        except AdmissionRejected:
-            pass
-    server.drain()
-    final_ms = max((b.completion_ms for b in server.batch_reports),
-                   default=monitor.last_ms)
-    monitor.observe(max(final_ms, monitor.last_ms))
-    return server, metrics, monitor, telemetry, len(trace)
+    counter = metrics.counter
+    return {"seed": seed, "metric": metric, "n_shards": n_shards,
+            "n_ops": len(ops), "n_upserts": n_upserts,
+            "n_deletes": n_deletes,
+            "n_compactions": int(
+                counter("compaction_total").value(reason="manual")
+                + counter("compaction_total").value(reason="rebalance")),
+            "live_rows_final": index.n_rows,
+            "generation_final": index.generation,
+            "identity_ok": identity_ok, "resume_ok": resume_ok,
+            "snapshot_roundtrip_ok": snapshot_roundtrip_ok,
+            "compaction_retries": int(
+                counter("compaction_retries_total").value()),
+            "compaction_resumes": int(
+                counter("compaction_resumes_total").value()),
+            "fault_aborts": int(counter("compaction_faults_total").value()),
+            "compaction_sim_seconds": sum(
+                r.simulated_seconds for r in index.compaction_reports),
+            "imbalance_before_rebalance": imbalance_before,
+            "imbalance_after_rebalance": imbalance_after,
+            "query_checks": query_checks, "wall_seconds": wall}
 
 
 def _canonical_events(telemetry) -> List[str]:
@@ -1174,25 +798,46 @@ def run_telemetry_cell(dataset: str = "movielens",
                        head_rate: float = 0.1,
                        driver_p99_ms: float = 0.015,
                        window_ms: float = 0.05,
-                       poll_interval_ms: float = 0.002) -> TelemetryCell:
-    """Run the telemetry acceptance cell (see :class:`TelemetryCell`)."""
-    import json
+                       poll_interval_ms: float = 0.002) -> dict:
+    """One fully-instrumented burst-trace serve run: wide events, sampling,
+    exemplars, and the serial-vs-parallel determinism contract.
 
+    The cell drives the same heavy-tailed trace as :func:`run_burst_cell`
+    (shed ladder on) through a traced :class:`~repro.serve.Server` wired
+    to a :class:`~repro.obs.Telemetry` spine, then checks the telemetry
+    acceptance bar end to end: every event validates against the JSON
+    schema (``schema_valid``), per-kind event counts reconcile exactly
+    against the serve reports (``reconciled``), every deadline-missed
+    trace survives tail sampling (``tail_covers_deadline_missed``), every
+    nonzero latency bucket carries an exemplar whose event chain's
+    critical-path seconds reproduce the reported latency with ``==`` on
+    floats (``exemplar_chain_exact``), a 4-worker rerun produces
+    byte-identical events and sampling decisions, and a small distributed
+    run's transfer events equal its comm steps. The rendered console, its
+    snapshot and the retained (tail-sampled) events ride along as
+    ``_``-prefixed artifacts.
+    """
     from repro.datasets.synthetic import make_skewed
     from repro.dist import DistributedExecutor, build_distributed_plan
-    from repro.obs import Telemetry, validate_event
-    from repro.obs.console import _critical_path_for
+    from repro.obs import SamplingPolicy, Telemetry, Tracer, validate_event
+    from repro.obs.console import _critical_path_for, render_snapshot
 
-    arm = dict(seed=seed, n_requests=n_requests, n_shards=n_shards,
-               max_batch_rows=max_batch_rows, max_wait_ms=max_wait_ms,
-               mean_gap_ms=mean_gap_ms,
-               deadline_slack_ms=deadline_slack_ms,
-               n_neighbors=n_neighbors, head_rate=head_rate,
-               driver_p99_ms=driver_p99_ms, window_ms=window_ms,
-               poll_interval_ms=poll_interval_ms)
+    def arm(n_workers: int):
+        telemetry = Telemetry(
+            policy=SamplingPolicy(head_rate=head_rate, seed=seed))
+        server, metrics, monitor, n_submissions, _ = _replay_burst(
+            dataset, metric, backpressure=True, seed=seed,
+            n_requests=n_requests, n_shards=n_shards,
+            max_batch_rows=max_batch_rows, max_wait_ms=max_wait_ms,
+            p0_p99_ms=0.08, driver_p99_ms=driver_p99_ms, burn_alert=1.5,
+            window_ms=window_ms, poll_interval_ms=poll_interval_ms,
+            mean_gap_ms=mean_gap_ms, deadline_slack_ms=deadline_slack_ms,
+            n_neighbors=n_neighbors, trace=Tracer(), telemetry=telemetry,
+            n_workers=n_workers)
+        return server, metrics, monitor, telemetry, n_submissions
+
     start = time.perf_counter()
-    server, metrics, monitor, telemetry, n_submissions = _telemetry_arm(
-        dataset, metric, n_workers=1, **arm)
+    server, metrics, monitor, telemetry, n_submissions = arm(1)
 
     # -- schema: every event validates ---------------------------------
     schema_valid = True
@@ -1228,7 +873,6 @@ def run_telemetry_cell(dataset: str = "movielens",
     kept = set(sampling.kept_trace_ids)
     missed = {r.trace_id for r in server.request_reports
               if r.deadline_missed}
-    tail_covers = missed <= kept
 
     # -- exemplar chains: bucket -> trace -> event chain -> critical
     #    path reproducing the reported latency with == on floats --------
@@ -1266,8 +910,7 @@ def run_telemetry_cell(dataset: str = "movielens",
             break
 
     # -- serial vs 4-worker: same events, same keep/drop bytes ---------
-    server4, _, _, telemetry4, _ = _telemetry_arm(
-        dataset, metric, n_workers=4, **arm)
+    telemetry4 = arm(4)[3]
     events_identical = (_canonical_events(telemetry)
                         == _canonical_events(telemetry4))
     decisions_identical = (_canonical_decisions(telemetry)
@@ -1281,38 +924,63 @@ def run_telemetry_cell(dataset: str = "movielens",
     dist_telemetry = Telemetry()
     dist_report = DistributedExecutor(
         plan, telemetry=dist_telemetry).execute()
-    dist_ok = (dist_telemetry.counts_by_kind().get("transfer", 0)
-               == dist_report.n_comm_steps)
 
     snapshot = server.console_snapshot(slo=monitor, top_k=5)
-    from repro.obs.console import render_snapshot
+    return {
+        "dataset": dataset, "metric": metric, "seed": seed,
+        "head_rate": head_rate, "n_submissions": n_submissions,
+        "resolved": len(server.request_reports),
+        "refused": len(server.shed_reports),
+        "deadline_missed": len(missed),
+        # wide events by kind, and the sampling outcome (gated exactly)
+        "events_total": counts,
+        "events_total_all": sum(counts.values()),
+        "sampled_total": sampling.n_kept,
+        "dropped_total": sampling.n_dropped,
+        "n_traces": len(sampling.decisions),
+        "p99_threshold_ms": (sampling.p99_threshold_ms
+                             if sampling.p99_threshold_ms is not None
+                             else 0.0),
+        "schema_valid": schema_valid,
+        "reconciled": all(reconciliation.values()),
+        "reconciliation": reconciliation,
+        "tail_covers_deadline_missed": missed <= kept,
+        "exemplar_buckets": len(exemplars),
+        "exemplar_buckets_expected": len(landed),
+        "exemplar_chain_exact": chain_exact,
+        "events_identical": events_identical,
+        "decisions_identical": decisions_identical,
+        "dist_transfers_reconciled": (
+            dist_telemetry.counts_by_kind().get("transfer", 0)
+            == dist_report.n_comm_steps),
+        "wall_seconds": time.perf_counter() - start,
+        "_snapshot": snapshot,
+        "_console_text": render_snapshot(snapshot),
+        "_sampled_records": [dict(e) for e in telemetry.sampled_events()],
+    }
 
-    wall = time.perf_counter() - start
-    return TelemetryCell(
-        dataset=dataset, metric=metric, seed=seed, head_rate=head_rate,
-        n_submissions=n_submissions,
-        resolved=len(server.request_reports),
-        refused=len(server.shed_reports),
-        deadline_missed=len(missed),
-        events_total=dict(sorted(counts.items())),
-        events_total_all=sum(counts.values()),
-        sampled_total=sampling.n_kept,
-        dropped_total=sampling.n_dropped,
-        n_traces=len(sampling.decisions),
-        p99_threshold_ms=(sampling.p99_threshold_ms
-                          if sampling.p99_threshold_ms is not None
-                          else 0.0),
-        schema_valid=schema_valid,
-        reconciled=all(reconciliation.values()),
-        reconciliation=reconciliation,
-        tail_covers_deadline_missed=tail_covers,
-        exemplar_buckets=len(exemplars),
-        exemplar_buckets_expected=len(landed),
-        exemplar_chain_exact=chain_exact,
-        events_identical=events_identical,
-        decisions_identical=decisions_identical,
-        dist_transfers_reconciled=dist_ok,
-        wall_seconds=wall,
-        snapshot=snapshot,
-        console_text=render_snapshot(snapshot),
-        sampled_records=[dict(e) for e in telemetry.sampled_events()])
+
+def run_profile_cell(row_cache: str, *, dataset: str = "movielens",
+                     metric: str = "cosine", n_tiles_target: int = 8,
+                     spec: DeviceSpec = VOLTA_V100) -> dict:
+    """Profile one traced k-NN query under a row-cache strategy.
+
+    The query runs under a :class:`~repro.obs.Tracer` on an 8-tile plan;
+    the resulting :class:`~repro.obs.Profile` yields the critical path,
+    per-category time split and roofline summary, plus the rendered
+    profile and the profile itself (for its folded-stack flamegraph) as
+    artifacts.
+    """
+    from repro.obs import Profile, Tracer
+
+    matrix = bench_dataset(dataset).matrix
+    tracer = Tracer()
+    _query(dataset, metric,
+           make_engine("hybrid_coo", spec, row_cache=row_cache), spec=spec,
+           n_neighbors=KNN_K, batch_rows=max(1, matrix.n_rows),
+           memory_budget_bytes=tile_budget(matrix, n_tiles_target),
+           trace=tracer)
+    profile = Profile(tracer)
+    return {"dataset": dataset, "metric": metric, "row_cache": row_cache,
+            **profile.as_dict(n_workers=1), "_text": profile.render(),
+            "_profile": profile}

@@ -35,7 +35,7 @@ from repro.plan import (
 )
 from tests.conftest import random_csr, random_dense
 
-#: CI's fault-matrix job sweeps this seed; locally it defaults to 0.
+#: CI's chaos job (fault sweep) sweeps this seed; locally it defaults to 0.
 SEED = int(os.environ.get("FAULT_SEED", "0"))
 
 #: Budget that cuts the fault-pair fixture into a 3x3 tile grid.

@@ -212,18 +212,18 @@ class TestBurstAcceptance:
         open_loop = run_burst_cell(backpressure=False)
         shedding = run_burst_cell(backpressure=True)
 
-        assert open_loop.reconciled and shedding.reconciled
-        assert open_loop.shed == 0 and open_loop.peak_shed_level == 0
-        assert not open_loop.p0_ok
-        assert open_loop.p0_alerts > 0
-        assert open_loop.deadline_missed > 0
+        assert open_loop["reconciled"] and shedding["reconciled"]
+        assert open_loop["shed"] == 0 and open_loop["peak_shed_level"] == 0
+        assert not open_loop["p0_ok"]
+        assert open_loop["p0_alerts"] > 0
+        assert open_loop["deadline_missed"] > 0
 
-        assert shedding.shed > 0
-        assert shedding.peak_shed_level >= 1
-        assert shedding.p0_ok
-        assert shedding.p0_alerts == 0
-        assert shedding.deadline_missed == 0
-        assert shedding.p0_p99_latency_ms < open_loop.p0_p99_latency_ms
+        assert shedding["shed"] > 0
+        assert shedding["peak_shed_level"] >= 1
+        assert shedding["p0_ok"]
+        assert shedding["p0_alerts"] == 0
+        assert shedding["deadline_missed"] == 0
+        assert shedding["p0_p99_latency_ms"] < open_loop["p0_p99_latency_ms"]
         # shedding never touches priority 0: every p0 submission resolves
-        assert (open_loop.resolved - shedding.resolved
-                == shedding.shed + shedding.rejected)
+        assert (open_loop["resolved"] - shedding["resolved"]
+                == shedding["shed"] + shedding["rejected"])

@@ -7,8 +7,8 @@ seeded random upsert/delete/compact/rebalance/query schedule, the index's
 corpus — regardless of shard count, worker fan-out, compaction state, or
 a compaction that was killed mid-flight and resumed from its watermark.
 
-The ``COMPACTION_SEED`` environment variable (set by the CI mutate-chaos
-matrix) steers the probabilistic fault schedule of the chaos test.
+The ``COMPACTION_SEED`` environment variable (set by the CI chaos job's
+compaction sweep) steers the probabilistic fault schedule of the chaos test.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ invisible in the delivered results — the sibling resumes the *same*
 consumer from the *same* watermark over bit-identical prepared operands,
 so the merged top-k equals the unsharded estimator's exactly. Only when
 every replica of a shard is dead does the server degrade to the PR-4
-partial-results path. CI's ``serve-chaos`` job sweeps ``REPLICA_SEED``
+partial-results path. CI's ``chaos`` job sweeps ``REPLICA_SEED``
 over which replica dies.
 """
 

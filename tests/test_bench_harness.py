@@ -6,7 +6,6 @@ import pytest
 from repro.bench.reporting import results_dir, save_report, session_reports
 from repro.bench.runner import (
     BENCH_SCALES,
-    BenchCell,
     bench_dataset,
     run_baseline_cell,
     run_knn_cell,
@@ -66,18 +65,18 @@ class TestRunner:
     def test_run_knn_cell_fields(self):
         cell = run_knn_cell("movielens", "cosine", "hybrid_coo",
                             row_cache="hash", n_neighbors=3)
-        assert isinstance(cell, BenchCell)
-        assert cell.simulated_seconds > 0
-        assert cell.wall_seconds > 0
-        assert cell.label == "movielens/cosine/hybrid_coo"
+        assert cell["simulated_seconds"] > 0
+        assert cell["wall_seconds"] > 0
+        assert (cell["dataset"], cell["metric"], cell["engine"]) == (
+            "movielens", "cosine", "hybrid_coo")
 
     def test_baseline_cell_selects_engine(self):
         dot = run_baseline_cell("movielens", "cosine", n_neighbors=3)
-        assert dot.engine == "csrgemm"
+        assert dot["engine"] == "csrgemm"
         namm = run_baseline_cell("movielens", "manhattan", n_neighbors=3)
-        assert namm.engine == "naive_csr"
+        assert namm["engine"] == "naive_csr"
 
     def test_minkowski_p_forwarded(self):
         cell = run_knn_cell("movielens", "minkowski", "hybrid_coo",
                             n_neighbors=3)
-        assert cell.simulated_seconds > 0
+        assert cell["simulated_seconds"] > 0
