@@ -90,21 +90,27 @@ def bank_conflicts_for_offsets(offsets: np.ndarray, warp_size: int = 32,
     """Total bank-conflict cycles when a flat stream of shared-memory word
     offsets is issued ``warp_size`` lanes at a time.
 
-    The stream is chunked into consecutive warps; each chunk is scored with
-    :func:`warp_bank_conflicts`. Vectorized with bincount over
-    ``(warp, bank)`` pairs instead of a Python loop per warp.
+    The stream is chunked into consecutive warps; each chunk is scored
+    exactly as :func:`warp_bank_conflicts` scores it. Every word lives in
+    one bank, so a warp's ``(distinct words in bank) - 1`` summed over the
+    banks it touches is its distinct words minus its distinct banks. The
+    stream is padded to whole warps with repeats of its last lane (a
+    repeated address is a free broadcast) and reshaped to
+    ``(n_warps, warp_size)``; each row's words, then its banks, are sorted,
+    and the distinct values are the changes along each sorted row. That is
+    ``O(n log warp_size)`` time and ``O(n)`` memory, with no packed key
+    that could overflow.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     n = offsets.size
     if n == 0:
         return 0
-    words = offsets // itemsize
-    banks = words % n_banks
-    warp_ids = np.arange(n, dtype=np.int64) // warp_size
-    # Count *distinct* words per (warp, bank): dedupe (warp, bank, word).
-    keys = np.stack([warp_ids, banks, words], axis=1)
-    uniq = np.unique(keys, axis=0)
-    pair_ids = uniq[:, 0] * n_banks + uniq[:, 1]
-    per_pair = np.bincount(pair_ids.astype(np.int64))
-    per_pair = per_pair[per_pair > 0]
-    return int(np.sum(per_pair - 1))
+    n_warps = -(-n // warp_size)
+    words = np.empty(n_warps * warp_size, dtype=np.int64)
+    np.floor_divide(offsets, itemsize, out=words[:n])
+    words[n:] = words[n - 1]
+    words = np.sort(words.reshape(n_warps, warp_size), axis=1)
+    banks = np.sort(words % n_banks, axis=1)
+    new_words = np.count_nonzero(words[:, 1:] != words[:, :-1])
+    new_banks = np.count_nonzero(banks[:, 1:] != banks[:, :-1])
+    return int(new_words - new_banks)

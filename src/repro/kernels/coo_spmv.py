@@ -40,6 +40,7 @@ from repro.kernels.base import KernelResult, PairwiseKernel, product_cost_profil
 from repro.kernels.bloom_filter import BlockBloomFilter
 from repro.kernels.functional import semiring_block
 from repro.kernels.hash_table import ENTRY_BYTES, BlockHashTable
+from repro.kernels.segmented import warp_segment_pairs
 from repro.kernels.strategy import (
     DENSE_ITEM_BYTES,
     RowCacheStrategy,
@@ -323,13 +324,9 @@ class LoadBalancedCooKernel(PairwiseKernel):
         warp's chunk issues one atomic per distinct row it covers (§3.3:
         writes bounded by the active warps over each row).
         """
-        if streamed.nnz == 0:
-            return 0.0
-        rows = np.repeat(np.arange(streamed.n_rows, dtype=np.int64),
-                         streamed.row_degrees())
-        warp_ids = np.arange(streamed.nnz, dtype=np.int64) // self.spec.warp_size
-        pairs = warp_ids * np.int64(streamed.n_rows) + rows
-        return float(np.unique(pairs).size)
+        starts = streamed.indptr[:-1][streamed.row_degrees() > 0]
+        return float(warp_segment_pairs(starts, streamed.nnz,
+                                        self.spec.warp_size))
 
     # ------------------------------------------------------------------
     def _bloom_bits(self) -> int:

@@ -21,7 +21,8 @@ import numpy as np
 from repro.core.monoid import Monoid
 from repro.errors import SemiringError
 
-__all__ = ["warp_segmented_reduce", "segment_boundaries"]
+__all__ = ["warp_segmented_reduce", "segment_boundaries",
+           "warp_segment_pairs"]
 
 _UFUNCS = {"plus": np.add, "times": np.multiply, "min": np.minimum,
            "max": np.maximum}
@@ -35,6 +36,21 @@ def segment_boundaries(keys: np.ndarray) -> np.ndarray:
     starts = np.ones(keys.size, dtype=bool)
     starts[1:] = keys[1:] != keys[:-1]
     return np.flatnonzero(starts)
+
+
+def warp_segment_pairs(starts: np.ndarray, n: int, warp_size: int) -> int:
+    """Distinct (warp, segment) pairs of a stream of ``n`` elements whose
+    segments begin at the sorted positions ``starts`` (the first at 0),
+    issued ``warp_size`` elements per warp.
+
+    A pair's first element opens a segment or a warp, so the pairs are the
+    union of segment starts and warp starts, counted in ``O(segments)``.
+    """
+    if n == 0:
+        return 0
+    n_warps = -(-n // warp_size)
+    return int(starts.size + n_warps
+               - np.count_nonzero(starts % warp_size == 0))
 
 
 def warp_segmented_reduce(keys: np.ndarray, values: np.ndarray,
@@ -91,7 +107,4 @@ def warp_segmented_reduce(keys: np.ndarray, values: np.ndarray,
 
     # Atomic count: one per (warp, segment) pair — a warp covering elements
     # [w*32, (w+1)*32) touches the segments present in that span.
-    warp_ids = np.arange(keys.size, dtype=np.int64) // warp_size
-    pair = warp_ids * np.int64(n_keys) + keys
-    n_atomics = int(np.unique(pair).size)
-    return out, n_atomics
+    return out, warp_segment_pairs(starts, keys.size, warp_size)

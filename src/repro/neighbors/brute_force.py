@@ -248,6 +248,9 @@ class NearestNeighbors:
         the entire dataset").
         """
         self._check_fitted()
+        if self._fit_matrix.n_rows == 0:
+            raise ValueError("cannot query neighbors: NearestNeighbors was "
+                             "fitted on an empty corpus (0 rows)")
         if n_neighbors is None:
             k = self.n_neighbors
         else:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gpusim.memory import (
     TRANSACTION_BYTES,
@@ -92,3 +94,35 @@ class TestStreamConflicts:
 
     def test_empty_stream(self):
         assert bank_conflicts_for_offsets(np.array([], dtype=np.int64)) == 0
+
+
+def _per_warp_oracle(offsets, warp_size, n_banks, itemsize):
+    return sum(warp_bank_conflicts(offsets[i:i + warp_size], n_banks=n_banks,
+                                   itemsize=itemsize)
+               for i in range(0, offsets.size, warp_size))
+
+
+@st.composite
+def _offset_streams(draw):
+    """Offset streams of any length (so partial final warps), drawn wide
+    (up to 2**40, where a packed key would overflow), narrow (many lanes
+    sharing a bank), or all equal (a broadcast)."""
+    n = draw(st.integers(0, 200))
+    kind = draw(st.sampled_from(["wide", "narrow", "broadcast"]))
+    if kind == "broadcast":
+        return np.full(n, draw(st.integers(0, 2**40)), dtype=np.int64)
+    hi = 2**40 if kind == "wide" else draw(st.integers(0, 512))
+    return np.asarray(draw(st.lists(st.integers(0, hi), min_size=n,
+                                    max_size=n)), dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(offsets=_offset_streams(), warp_size=st.integers(1, 64),
+       n_banks=st.sampled_from([1, 4, 32]),
+       itemsize=st.sampled_from([1, 4, 8]))
+def test_stream_conflicts_equal_per_warp_oracle(offsets, warp_size, n_banks,
+                                                itemsize):
+    # Byte offsets are drawn unaligned: lanes inside one word share it.
+    assert (bank_conflicts_for_offsets(offsets, warp_size=warp_size,
+                                       n_banks=n_banks, itemsize=itemsize)
+            == _per_warp_oracle(offsets, warp_size, n_banks, itemsize))

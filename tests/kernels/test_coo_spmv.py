@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.semiring import dot_product_semiring, namm_semiring
+from repro.datasets.synthetic import load_dataset
 from repro.errors import KernelLaunchError
 from repro.gpusim.specs import VOLTA_V100
 from repro.kernels.coo_spmv import LoadBalancedCooKernel, _total_intersections
@@ -139,3 +140,21 @@ class TestStatsSanity:
         t_small = k.run(small, small, dot_product_semiring()).seconds
         t_big = k.run(big, big, dot_product_semiring()).seconds
         assert t_big > t_small
+
+
+class TestCountRegressionPin:
+    """Bank-conflict and atomic counts on a fixed slice of the movielens
+    bench replica (24 query rows against all 4422 rows), pinned to the
+    integers of the ``np.unique``-based counters. They set the simulated
+    seconds, so a counter rewrite must reproduce them exactly."""
+
+    @pytest.mark.parametrize("semiring, conflicts, atomics", [
+        (dot_product_semiring(), 101952, 83688),
+        (_manhattan(), 146172, 163284),
+    ], ids=["dot", "manhattan"])
+    def test_dense_cache_counts(self, semiring, conflicts, atomics):
+        x = load_dataset("movielens", scale=64).matrix
+        a = x.take_rows(np.arange(24))
+        res = LoadBalancedCooKernel(row_cache="dense").run(a, x, semiring)
+        assert res.stats.bank_conflicts == conflicts
+        assert res.stats.atomics == atomics

@@ -1,11 +1,18 @@
 """Tests for the warp-level segmented reduction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.monoid import MAX, MIN, PLUS
 from repro.errors import SemiringError
+from repro.gpusim.specs import VOLTA_V100
+from repro.kernels.coo_spmv import LoadBalancedCooKernel
 from repro.kernels.segmented import segment_boundaries, warp_segmented_reduce
+from repro.sparse.csr import CSRMatrix
 
 
 def _sorted_keys(rng, n, n_keys):
@@ -98,3 +105,39 @@ class TestAtomicBound:
         _, atomics = warp_segmented_reduce(keys, np.ones(64), PLUS,
                                            n_keys=64, warp_size=32)
         assert atomics == 64
+
+
+def _unique_pairs(keys, warp_size, n_keys):
+    """The atomic count as distinct (warp, key) pairs, by brute force."""
+    warp_ids = np.arange(keys.size, dtype=np.int64) // warp_size
+    return np.unique(warp_ids * np.int64(n_keys) + keys).size
+
+
+class TestAtomicCountOracle:
+    """Both atomic counters equal distinct (warp, key) pairs on any
+    non-decreasing key stream."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(degrees=st.lists(st.integers(0, 70), max_size=40),
+           warp_size=st.sampled_from([1, 2, 7, 32, 64]))
+    def test_warp_segmented_reduce(self, degrees, warp_size):
+        n_keys = len(degrees)
+        keys = np.repeat(np.arange(n_keys, dtype=np.int64), degrees)
+        _, atomics = warp_segmented_reduce(keys, np.ones(keys.size), PLUS,
+                                           n_keys=n_keys,
+                                           warp_size=warp_size)
+        assert atomics == _unique_pairs(keys, warp_size, n_keys)
+
+    @settings(max_examples=150, deadline=None)
+    @given(degrees=st.lists(st.integers(0, 70), max_size=40),
+           warp_size=st.sampled_from([1, 2, 4, 32, 64]))
+    def test_atomics_per_block(self, degrees, warp_size):
+        n_rows = len(degrees)
+        indptr = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
+        rows = np.repeat(np.arange(n_rows, dtype=np.int64), degrees)
+        cols = np.arange(rows.size) - indptr[rows]  # 0..degree-1 per row
+        streamed = CSRMatrix(indptr, cols, np.ones(rows.size), (n_rows, 70))
+        kernel = LoadBalancedCooKernel(replace(VOLTA_V100,
+                                               warp_size=warp_size))
+        assert (kernel._atomics_per_block(streamed)
+                == _unique_pairs(rows, warp_size, n_rows))

@@ -36,6 +36,12 @@ class TestBasic:
         assert idx.shape == (6, 2)
         assert idx.dtype == np.int64
 
+    def test_empty_fitted_corpus_named(self):
+        nn = NearestNeighbors(n_neighbors=3).fit(np.zeros((0, 5)))
+        with pytest.raises(ValueError, match="empty corpus"):
+            nn.kneighbors(np.ones((2, 5)))
+        assert nn.last_report is None  # refused before any plan ran
+
     def test_k_clamped_to_index_size(self, rng):
         x = random_dense(rng, 4, 5)
         dist, _ = NearestNeighbors(n_neighbors=10).fit(x).kneighbors()
