@@ -113,19 +113,38 @@ def _row(v: np.ndarray) -> np.ndarray:
     return np.asarray(v, dtype=np.float64)[None, :]
 
 
+def _divide_or_zero(num, den, ok, out=None):
+    """``num / den`` where ``ok``, else 0 (into ``out`` when given).
+
+    One unmasked divide then a ``putmask``: a ``where=`` divide into a
+    zeroed block takes numpy's slow masked loop whenever ``ok`` has holes
+    (zero-norm rows and columns). Where ``ok`` holds the quotient is the
+    same IEEE divide, so results are bit-identical to the masked form; the
+    masked-out lanes may divide by zero or overflow, hence the errstate.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = np.asarray(np.divide(num, den, out=out))  # 0-d for scalars
+    np.putmask(out, ~ok, 0.0)
+    return out
+
+
+def _zero_both_empty(out, norm_a, norm_b):
+    """d(x, x) = 0 even for empty vectors: zero every pair of two rows whose
+    norms are both (numerically) zero. Empty-vs-nonempty keeps its value."""
+    out[np.ix_(np.asarray(norm_a) <= _EPS, np.asarray(norm_b) <= _EPS)] = 0.0
+
+
 def _expand_dot(dot, na, nb, k):
     return dot
 
 
 def _expand_cosine(dot, na, nb, k):
-    denom = _col(na["l2"]) * _row(nb["l2"])
-    sim = np.zeros_like(dot)  # undefined similarity (zero vector) -> 0
-    np.divide(dot, denom, out=sim, where=denom > _EPS)
-    out = 1.0 - sim
-    # d(x, x) = 0 must hold even for empty vectors: both-zero pairs get 0;
-    # empty-vs-nonempty keeps the maximal distance 1.
-    both_zero = (_col(na["l2"]) <= _EPS) & (_row(nb["l2"]) <= _EPS)
-    out[both_zero] = 0.0
+    # One block, reused from denominator to distance. An undefined
+    # similarity (zero vector) is 0, so empty-vs-nonempty gets distance 1.
+    out = _col(na["l2"]) * _row(nb["l2"])
+    _divide_or_zero(dot, out, out > _EPS, out=out)
+    np.subtract(1.0, out, out=out)
+    _zero_both_empty(out, na["l2"], nb["l2"])
     np.clip(out, 0.0, 2.0, out=out)
     return out
 
@@ -162,38 +181,31 @@ def _expand_correlation(dot, na, nb, k):
     np.clip(var_b, 0.0, None, out=var_b)
     den = np.sqrt(var_a * var_b)
     degenerate = deg_a | deg_b | (den <= _EPS)
-    corr = np.zeros_like(dot)
-    np.divide(num, den, out=corr, where=~degenerate)
-    out = 1.0 - corr
+    out = _divide_or_zero(num, den, ~degenerate, out=num)
+    np.subtract(1.0, out, out=out)
     # Zero-variance (constant) vectors have undefined correlation; the
     # covariance numerator is then 0 as well, so any rule keyed on the
     # expansion terms cannot tell x-vs-x from constant-vs-anything. We pick
     # d = 0 for every degenerate pair (d(x, x) = 0 must hold; correlation is
     # not a metric, so no other axiom is at stake). Documented convention.
-    out[degenerate] = 0.0
+    np.putmask(out, degenerate, 0.0)
     np.clip(out, 0.0, 2.0, out=out)
     return out
 
 
 def _expand_dice(dot, na, nb, k):
-    denom = _col(na["l0"]) + _row(nb["l0"])
-    out = np.zeros_like(dot)
-    nz = denom > _EPS
-    np.divide(2.0 * dot, denom, out=out, where=nz)
-    out = 1.0 - out
-    both_zero = (_col(na["l0"]) <= _EPS) & (_row(nb["l0"]) <= _EPS)
-    out[both_zero] = 0.0
+    out = _col(na["l0"]) + _row(nb["l0"])
+    _divide_or_zero(2.0 * dot, out, out > _EPS, out=out)
+    np.subtract(1.0, out, out=out)
+    _zero_both_empty(out, na["l0"], nb["l0"])
     return out
 
 
 def _expand_jaccard(dot, na, nb, k):
-    union = _col(na["l0"]) + _row(nb["l0"]) - dot
-    out = np.zeros_like(dot)
-    nz = union > _EPS
-    np.divide(dot, union, out=out, where=nz)
-    out = 1.0 - out
-    both_zero = (_col(na["l0"]) <= _EPS) & (_row(nb["l0"]) <= _EPS)
-    out[both_zero] = 0.0
+    out = _col(na["l0"]) + _row(nb["l0"]) - dot
+    _divide_or_zero(dot, out, out > _EPS, out=out)
+    np.subtract(1.0, out, out=out)
+    _zero_both_empty(out, na["l0"], nb["l0"])
     return out
 
 
@@ -214,9 +226,7 @@ def _abs_diff(x, y):
 def _canberra_op(x, y):
     num = np.abs(x - y)
     den = np.abs(x) + np.abs(y)
-    out = np.zeros_like(num)
-    np.divide(num, den, out=out, where=den > _EPS)
-    return out
+    return _divide_or_zero(num, den, den > _EPS)
 
 
 def _hamming_op(x, y):
@@ -225,9 +235,8 @@ def _hamming_op(x, y):
 
 def _xlogx_over(x, m):
     """x * log(x / m) with the 0 log 0 := 0 convention."""
-    out = np.zeros_like(x)
     valid = (x > 0) & (m > 0)
-    np.divide(x, m, out=out, where=valid)
+    out = _divide_or_zero(x, m, valid)
     np.log(out, out=out, where=valid)
     out *= x
     out[~valid] = 0.0
@@ -248,9 +257,8 @@ def _minkowski_op(p: float):
 
 def _kl_op(x, y):
     """KL's replaced ⊗: x·log(x/y), evaluated only on the intersection."""
-    out = np.zeros_like(x)
     valid = (x > 0) & (y > 0)
-    np.divide(x, y, out=out, where=valid)
+    out = _divide_or_zero(x, y, valid)
     np.log(out, out=out, where=valid)
     out *= x
     out[~valid] = 0.0

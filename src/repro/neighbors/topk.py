@@ -29,7 +29,11 @@ def select_topk(distances: np.ndarray, k: int,
     """The ``k`` smallest (or largest) entries of each row, sorted.
 
     Returns ``(values, indices)`` of shape ``(n_rows, k)``. Ties are broken
-    by index order (stable), so results are deterministic.
+    by index order (stable), so results are deterministic: the ids are
+    those of ``np.argsort(keyed, axis=1, kind="stable")[:, :k]``, where
+    ``keyed`` is the block (ascending) or its negation (descending). NaN
+    ranks after ``+inf`` in both directions, and NaNs tie among themselves
+    by lowest index. ``-0.0`` and ``0.0`` tie.
     """
     distances = np.asarray(distances, dtype=np.float64)
     if distances.ndim != 2:
@@ -40,20 +44,7 @@ def select_topk(distances: np.ndarray, k: int,
     k = min(k, n_cols)
     keyed = distances if ascending else -distances
     if k < n_cols:
-        full_idx = np.argpartition(keyed, kth=k - 1, axis=1)
-        part_idx = full_idx[:, :k]
-        # argpartition keeps an *arbitrary* subset of entries tied exactly
-        # at the k boundary, so two runs partitioned differently (e.g. one
-        # shard vs the full block) could keep different ids. Re-select any
-        # row whose boundary value also appears among the excluded entries
-        # with a stable full sort, so boundary ties resolve by index.
-        boundary = np.take_along_axis(keyed, part_idx, axis=1).max(axis=1)
-        excluded = np.take_along_axis(keyed, full_idx[:, k:], axis=1)
-        tied = np.nonzero((excluded == boundary[:, None]).any(axis=1))[0]
-        if tied.size:
-            part_idx = part_idx.copy()
-            part_idx[tied] = np.argsort(keyed[tied], axis=1,
-                                        kind="stable")[:, :k]
+        part_idx = _select_ids(keyed, k)
     else:
         part_idx = np.tile(np.arange(n_cols), (n_rows, 1))
     part_val = np.take_along_axis(keyed, part_idx, axis=1)
@@ -62,6 +53,34 @@ def select_topk(distances: np.ndarray, k: int,
     idx = np.take_along_axis(part_idx, order, axis=1)
     val = np.take_along_axis(part_val, order, axis=1)
     return (val if ascending else -val), idx
+
+
+def _select_ids(keyed: np.ndarray, k: int) -> np.ndarray:
+    """Ascending column ids of each row's ``k`` smallest keys (``k < n_cols``).
+
+    A row's k-th smallest key is its *boundary*. Every entry strictly below
+    the boundary is kept, and the ``k - count`` slots left go to the
+    lowest-index entries equal to it: the ids a stable sort would keep,
+    found without sorting. A NaN boundary (fewer than k non-NaN entries)
+    keeps every non-NaN entry, then the lowest-index NaNs.
+    """
+    n_rows = keyed.shape[0]
+    boundary = np.partition(keyed, k - 1, axis=1)[:, k - 1:k]
+    sel = np.less(keyed, boundary, order="C")  # ravel() below is a view
+    tie = keyed == boundary
+    nan_rows = np.nonzero(np.isnan(boundary[:, 0]))[0]
+    if nan_rows.size:
+        nan = np.isnan(keyed[nan_rows])
+        sel[nan_rows] = ~nan
+        tie[nan_rows] = nan
+    need = k - np.count_nonzero(sel, axis=1)
+    # Flat positions of the ties, row-major: a row's ties are one run of
+    # ``n_tie`` entries, and its first ``need`` ones fill the row.
+    n_tie = np.count_nonzero(tie, axis=1)
+    skip = (np.cumsum(n_tie) - n_tie) - (np.cumsum(need) - need)
+    pos = np.arange(need.sum()) + np.repeat(skip, need)
+    sel.ravel()[np.flatnonzero(tie)[pos]] = True
+    return (np.flatnonzero(sel) % keyed.shape[1]).reshape(n_rows, k)
 
 
 def suppress_pairs(values: np.ndarray, indices: np.ndarray,

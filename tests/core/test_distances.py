@@ -193,3 +193,123 @@ class TestEdgeCases:
         d2 = pairwise_distances((x != 0) * 7.0, (y != 0) * 3.0,
                                 metric="dice", engine="host")
         np.testing.assert_allclose(d1, d2, atol=1e-12)
+
+
+# The expansion epilogues as they were written with masked ``np.divide(...,
+# where=...)`` into a zeroed block. The rewritten epilogues must return the
+# same bits.
+_EPS_ORACLE = 1e-300
+_VAR_RTOL_ORACLE = 1e-9
+
+
+def _col(v):
+    return np.asarray(v, dtype=np.float64)[:, None]
+
+
+def _row(v):
+    return np.asarray(v, dtype=np.float64)[None, :]
+
+
+def _masked_cosine(dot, na, nb, k):
+    denom = _col(na["l2"]) * _row(nb["l2"])
+    sim = np.zeros_like(dot)
+    np.divide(dot, denom, out=sim, where=denom > _EPS_ORACLE)
+    out = 1.0 - sim
+    both_zero = ((_col(na["l2"]) <= _EPS_ORACLE)
+                 & (_row(nb["l2"]) <= _EPS_ORACLE))
+    out[both_zero] = 0.0
+    np.clip(out, 0.0, 2.0, out=out)
+    return out
+
+
+def _masked_correlation(dot, na, nb, k):
+    sa, sb = _col(na["sum"]), _row(nb["sum"])
+    qa, qb = _col(na["l2sq"]), _row(nb["l2sq"])
+    num = k * dot - sa * sb
+    var_a = k * qa - sa * sa
+    var_b = k * qb - sb * sb
+    deg_a = var_a <= _VAR_RTOL_ORACLE * (k * qa + sa * sa)
+    deg_b = var_b <= _VAR_RTOL_ORACLE * (k * qb + sb * sb)
+    np.clip(var_a, 0.0, None, out=var_a)
+    np.clip(var_b, 0.0, None, out=var_b)
+    den = np.sqrt(var_a * var_b)
+    degenerate = deg_a | deg_b | (den <= _EPS_ORACLE)
+    corr = np.zeros_like(dot)
+    np.divide(num, den, out=corr, where=~degenerate)
+    out = 1.0 - corr
+    out[degenerate] = 0.0
+    np.clip(out, 0.0, 2.0, out=out)
+    return out
+
+
+def _masked_dice(dot, na, nb, k):
+    denom = _col(na["l0"]) + _row(nb["l0"])
+    out = np.zeros_like(dot)
+    np.divide(2.0 * dot, denom, out=out, where=denom > _EPS_ORACLE)
+    out = 1.0 - out
+    both_zero = ((_col(na["l0"]) <= _EPS_ORACLE)
+                 & (_row(nb["l0"]) <= _EPS_ORACLE))
+    out[both_zero] = 0.0
+    return out
+
+
+def _masked_jaccard(dot, na, nb, k):
+    union = _col(na["l0"]) + _row(nb["l0"]) - dot
+    out = np.zeros_like(dot)
+    np.divide(dot, union, out=out, where=union > _EPS_ORACLE)
+    out = 1.0 - out
+    both_zero = ((_col(na["l0"]) <= _EPS_ORACLE)
+                 & (_row(nb["l0"]) <= _EPS_ORACLE))
+    out[both_zero] = 0.0
+    return out
+
+
+_MASKED_ORACLES = {"cosine": _masked_cosine,
+                   "correlation": _masked_correlation,
+                   "dice": _masked_dice, "jaccard": _masked_jaccard}
+
+#: Zero norms, norms whose product is at most 1e-300 while each is above it
+#: (1e-160 * 1e-160, 1e-200 * 1e-150), a norm at the threshold, and
+#: ordinary ones.
+_NORM_POOL = np.array([0.0, 0.0, 1e-300, 1e-200, 1e-160, 1e-150,
+                       0.5, 1.0, 2.0, 3.0])
+
+
+def _epilogue_inputs(seed, n=9, m=7, k=4):
+    rng = np.random.default_rng(seed)
+
+    def norms(size):
+        # Row 0 is a constant vector (sum 4, l2sq 4 over k=4 columns:
+        # zero variance); row 1 is empty.
+        sums = rng.integers(-3, 5, size).astype(np.float64)
+        l2sq = rng.choice(_NORM_POOL, size) + np.abs(sums)
+        sums[0], l2sq[0] = 4.0, 4.0
+        sums[1], l2sq[1] = 0.0, 0.0
+        l2 = rng.choice(_NORM_POOL, size)
+        l2[1] = 0.0
+        l0 = rng.choice(_NORM_POOL, size)
+        l0[1] = 0.0
+        return {"l2": l2, "l0": l0, "sum": sums, "l2sq": l2sq}
+
+    dot = rng.integers(-2, 4, (n, m)).astype(np.float64)
+    dot *= rng.choice([1.0, 1e-160, 0.5], (n, m))
+    dot[rng.random((n, m)) < 0.15] = np.nan
+    return dot, norms(n), norms(m), k
+
+
+class TestEpilogueIdentity:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("metric", sorted(_MASKED_ORACLES))
+    def test_equals_masked_divide_form(self, metric, seed):
+        dot, na, nb, k = _epilogue_inputs(seed)
+        got = make_distance(metric).apply_expansion(dot, na, nb, k)
+        want = _MASKED_ORACLES[metric](dot, na, nb, k)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("metric", sorted(_MASKED_ORACLES))
+    def test_empty_block(self, metric):
+        dot, na, nb, k = _epilogue_inputs(0)
+        na = {key: v[:0] for key, v in na.items()}
+        got = make_distance(metric).apply_expansion(dot[:0], na, nb, k)
+        assert got.shape == (0, dot.shape[1])

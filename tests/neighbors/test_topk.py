@@ -2,8 +2,29 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.neighbors.topk import TopKAccumulator, select_topk
+
+#: Heavy ties, both infinities, both zeros and NaN.
+_TIE_VALUES = st.sampled_from(
+    [0.0, -0.0, 1.0, 2.0, 3.0, np.inf, -np.inf, np.nan])
+
+
+@st.composite
+def _blocks(draw, min_cols=1):
+    """A small tie-heavy block, in C or Fortran memory order."""
+    n_rows = draw(st.integers(0, 4))
+    n_cols = draw(st.integers(min_cols, 12))
+    cells = draw(st.lists(_TIE_VALUES, min_size=n_rows * n_cols,
+                          max_size=n_rows * n_cols))
+    block = np.array(cells, dtype=np.float64).reshape(n_rows, n_cols)
+    return block if draw(st.booleans()) else np.asfortranarray(block)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 class TestSelectTopk:
@@ -102,6 +123,53 @@ class TestBoundaryTies:
         got_val, got_idx = acc.finalize()
         np.testing.assert_array_equal(got_val, want_val)
         np.testing.assert_array_equal(got_idx, want_idx)
+
+
+class TestStableOracle:
+    """``select_topk`` keeps exactly the ids of a stable argsort: NaN after
+    +inf, every tie (NaN among NaN, -0.0 with 0.0) by lowest index."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(block=_blocks(), data=st.data(), ascending=st.booleans())
+    def test_equals_stable_argsort(self, block, data, ascending):
+        n_cols = block.shape[1]
+        k = data.draw(st.integers(1, n_cols + 2))
+        keyed = block if ascending else -block
+        want_idx = np.argsort(keyed, axis=1, kind="stable")[:, :k]
+        val, idx = select_topk(block, k, ascending=ascending)
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(
+            _bits(val), _bits(np.take_along_axis(block, want_idx, axis=1)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(block=_blocks(min_cols=2), data=st.data())
+    def test_split_accumulator_equals_full(self, block, data):
+        n_cols = block.shape[1]
+        k = data.draw(st.integers(1, n_cols))
+        split = data.draw(st.integers(1, n_cols - 1))
+        acc = TopKAccumulator(block.shape[0], k)
+        acc.update(block[:, :split], 0)
+        acc.update(block[:, split:], split)
+        got_val, got_idx = acc.finalize()
+        want_val, want_idx = select_topk(block, k)
+        np.testing.assert_array_equal(got_idx, want_idx)
+        np.testing.assert_array_equal(_bits(got_val), _bits(want_val))
+
+    def test_nan_ties_resolve_by_index(self):
+        row = np.array([[np.nan, 1.0, np.nan, 2.0] + [np.nan] * 20 + [0.0]])
+        _, idx = select_topk(row, 4)
+        np.testing.assert_array_equal(idx, [[24, 1, 3, 0]])
+
+    def test_nan_and_boundary_ties_straddle_split(self):
+        d = np.array([[1.0, np.nan, 1.0, 0.0, 1.0, 1.0, np.nan, 0.0],
+                      [np.nan, np.nan, 5.0, np.nan, 4.0, np.nan, np.nan,
+                       np.nan]])
+        acc = TopKAccumulator(2, 5)
+        acc.update(d[:, :4], 0)
+        acc.update(d[:, 4:], 4)
+        _, idx = acc.finalize()
+        np.testing.assert_array_equal(idx, [[3, 7, 0, 2, 4], [4, 2, 0, 1, 3]])
+        np.testing.assert_array_equal(idx, select_topk(d, 5)[1])
 
 
 class TestUpdateValidation:
